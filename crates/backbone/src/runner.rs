@@ -261,8 +261,9 @@ fn simulate_domain(
 /// Runs one cell to a [`CellReport`].
 ///
 /// # Errors
-/// Returns [`BackboneError`] when the topology fails validation or a
-/// domain simulation cannot be assembled; the registry presets never do.
+/// Returns [`BackboneError`] when the cell spans zero hypercycles, the
+/// topology fails validation or a domain simulation cannot be assembled
+/// (the registry presets never do).
 pub fn run_cell(spec: &CellSpec<'_>) -> Result<CellReport, BackboneError> {
     run_cell_traced(spec, &Tracer::disabled())
 }
@@ -273,7 +274,11 @@ pub fn run_cell(spec: &CellSpec<'_>) -> Result<CellReport, BackboneError> {
 pub fn run_cell_traced(spec: &CellSpec<'_>, tracer: &Tracer) -> Result<CellReport, BackboneError> {
     let t = spec.topology;
     t.validate().map_err(BackboneError)?;
-    assert!(spec.hypercycles > 0, "cell must span at least 1 hypercycle");
+    if spec.hypercycles == 0 {
+        return Err(BackboneError(
+            "a cell must span at least 1 hypercycle (valid range: 1 or more)".into(),
+        ));
+    }
     let hyper = t.hypercycle();
     let span = hyper * spec.hypercycles;
     let plan = spec.reservation.plan(t);

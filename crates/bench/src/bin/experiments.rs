@@ -78,6 +78,7 @@ use bench_harness::experiments::{
     ablation, dynamic_experiment_statics, fault_model_ablation, fig3_bandwidth, fig4_latency,
     fig5_miss_ratio, fig_running_time, run_once, verify_reproduction, Segment,
 };
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use bench_harness::backbone::{backbone_report_json, check_matrix as check_backbone_matrix};
@@ -140,6 +141,20 @@ fn parse_number<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> 
     })
 }
 
+/// [`parse_number`] for a count that must be at least 1: zero exits 2
+/// naming the valid range rather than running a degenerate job.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    args: &[String],
+    flag: &str,
+) -> Option<T> {
+    let v = parse_number(args, flag)?;
+    if v == T::default() {
+        eprintln!("invalid value for {flag}: 0 (valid range: 1 or more)");
+        std::process::exit(2);
+    }
+    Some(v)
+}
+
 fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
     args.iter()
         .enumerate()
@@ -151,7 +166,7 @@ fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
 
 fn parse_spec(args: &[String]) -> SweepSpec {
     let mut spec = SweepSpec::default();
-    if let Some(v) = parse_number(args, "--seeds") {
+    if let Some(v) = parse_count(args, "--seeds") {
         spec.seeds = v;
     }
     if let Some(v) = parse_number(args, "--master-seed") {
@@ -163,8 +178,8 @@ fn parse_spec(args: &[String]) -> SweepSpec {
     if let Some(v) = parse_number(args, "--horizon-ms") {
         spec.horizon_ms = v;
     }
-    if let Some(v) = parse_number(args, "--threads") {
-        spec.threads = Some(v);
+    if let Some(v) = parse_count(args, "--threads") {
+        spec.threads = NonZeroUsize::new(v);
     }
     let policies: Vec<_> = flag_values(args, "--policy")
         .into_iter()
@@ -708,7 +723,7 @@ fn run_backbone(args: &[String]) {
             })
             .collect();
     }
-    if let Some(hypercycles) = parse_number(args, "--hypercycles") {
+    if let Some(hypercycles) = parse_count(args, "--hypercycles") {
         spec.hypercycles = hypercycles;
     }
     let threads: usize = parse_number(args, "--threads").unwrap_or(1);
@@ -848,11 +863,14 @@ fn run_determinism(args: &[String]) {
     let thread_counts: Vec<usize> = flag_value(args, "--thread-counts")
         .map(|v| {
             v.split(',')
-                .map(|p| {
-                    p.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("invalid --thread-counts component: {p}");
+                .map(|p| match p.trim().parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => {
+                        eprintln!(
+                            "invalid --thread-counts component: {p} (valid range: 1 or more)"
+                        );
                         std::process::exit(2);
-                    })
+                    }
                 })
                 .collect()
         })
@@ -860,7 +878,7 @@ fn run_determinism(args: &[String]) {
     let mut fingerprints = Vec::with_capacity(thread_counts.len());
     for &threads in &thread_counts {
         let mut run = spec.clone();
-        run.threads = Some(threads);
+        run.threads = NonZeroUsize::new(threads);
         let report = run.run().unwrap_or_else(|e| {
             eprintln!("sweep configuration is unschedulable: {e:?}");
             std::process::exit(1);
@@ -990,8 +1008,8 @@ fn run_chaos(args: &[String]) {
     });
     let seed = parse_number(args, "--seed").unwrap_or(chaos::CHAOS_SEED);
     let horizon_cycles =
-        parse_number(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
-    let threads = parse_number(args, "--threads").unwrap_or(1);
+        parse_count(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
+    let threads = parse_count(args, "--threads").unwrap_or(1);
     let mut contract = ChaosContract::default();
     if let Some(v) = parse_number(args, "--recovery-budget") {
         contract.recovery_budget_cycles = v;

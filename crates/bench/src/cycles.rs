@@ -20,6 +20,7 @@
 //! which cancels first-order machine speed; the tolerance band absorbs
 //! the rest.
 
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use coefficient::{Runner, Scenario, SchedulerError, SeedStrategy};
@@ -75,7 +76,7 @@ pub fn cycles_spec(smoke: bool) -> CyclesSpec {
             horizon_ms: if smoke { 100 } else { 400 },
             seeds: 3,
             master_seed: SEED,
-            threads: Some(1),
+            threads: Some(NonZeroUsize::MIN),
             policies: coefficient::registry::all().to_vec(),
             scenarios: vec![
                 Scenario::ber7(),
@@ -411,7 +412,7 @@ mod tests {
                 seeds: 1,
                 policies: vec![coefficient::COEFFICIENT, coefficient::GREEDY],
                 scenarios: vec![Scenario::ber7()],
-                threads: Some(1),
+                threads: Some(NonZeroUsize::MIN),
                 ..SweepSpec::default()
             },
             iters: 2,

@@ -589,13 +589,14 @@ pub fn load_corpus(path: &Path) -> Result<CorpusFile, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
             horizon_ms: 20,
             seeds: 2,
             scenarios: vec![Scenario::ber7()],
-            threads: Some(2),
+            threads: NonZeroUsize::new(2),
             ..SweepSpec::default()
         }
     }

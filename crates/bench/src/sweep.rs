@@ -12,6 +12,7 @@
 //! * [`measure_speedup`] — times the same matrix serially and in
 //!   parallel, checks the fingerprints agree, and reports the ratio.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use coefficient::sweep::default_threads;
@@ -39,7 +40,7 @@ pub struct SweepSpec {
     /// Master seed the per-cell seeds derive from.
     pub master_seed: u64,
     /// Worker threads; `None` means all available parallelism.
-    pub threads: Option<usize>,
+    pub threads: Option<NonZeroUsize>,
     /// Policies under test.
     pub policies: Vec<PolicyRef>,
     /// Scenarios under test.
@@ -307,9 +308,14 @@ impl SpeedupReport {
 ///
 /// # Errors
 /// Returns [`SchedulerError`] if a cell is unschedulable.
-pub fn measure_speedup(spec: &SweepSpec, threads: usize) -> Result<SpeedupReport, SchedulerError> {
+pub fn measure_speedup(
+    spec: &SweepSpec,
+    threads: NonZeroUsize,
+) -> Result<SpeedupReport, SchedulerError> {
     let matrix = spec.build_matrix();
-    let serial = SweepRunner::new(matrix.clone()).threads(1).run()?;
+    let serial = SweepRunner::new(matrix.clone())
+        .threads(NonZeroUsize::MIN)
+        .run()?;
     let parallel = SweepRunner::new(matrix).threads(threads).run()?;
     Ok(SpeedupReport {
         cells: serial.cells.len(),
@@ -335,8 +341,8 @@ pub fn speedup_benchmark_spec() -> SweepSpec {
 
 /// Worker-thread count of the acceptance benchmark (≤ 4, so the claimed
 /// speedup is what a 4-core machine reproduces).
-pub fn speedup_benchmark_threads() -> usize {
-    default_threads().clamp(2, 4)
+pub fn speedup_benchmark_threads() -> NonZeroUsize {
+    NonZeroUsize::new(default_threads().clamp(2, 4)).expect("clamped to 2..=4")
 }
 
 #[cfg(test)]
@@ -386,7 +392,7 @@ mod tests {
         let spec = SweepSpec {
             seeds: 2,
             horizon_ms: 20,
-            threads: Some(2),
+            threads: NonZeroUsize::new(2),
             scenarios: vec![Scenario::ber7()],
             ..SweepSpec::default()
         };
@@ -407,7 +413,7 @@ mod tests {
             scenarios: vec![Scenario::ber7()],
             ..SweepSpec::default()
         };
-        let report = measure_speedup(&spec, 2).unwrap();
+        let report = measure_speedup(&spec, NonZeroUsize::new(2).unwrap()).unwrap();
         assert!(report.fingerprints_equal);
         assert_eq!(report.cells, 4);
         assert!(report.speedup > 0.0);

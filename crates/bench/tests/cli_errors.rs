@@ -10,6 +10,7 @@ use bench_harness::experiments::SEED;
 use bench_harness::golden::{corpus_to_json, record_corpus};
 use bench_harness::sweep::SweepSpec;
 use coefficient::Scenario;
+use std::num::NonZeroUsize;
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str]) -> Output {
@@ -65,7 +66,7 @@ fn golden_verify_against_a_corpus_with_an_unknown_policy_lists_the_registry() {
         horizon_ms: 8,
         seeds: 1,
         scenarios: vec![Scenario::ber7()],
-        threads: Some(2),
+        threads: NonZeroUsize::new(2),
         ..SweepSpec::default()
     };
     let recorded = record_corpus("cli-bad-policy", &spec).expect("tiny spec is schedulable");
@@ -273,5 +274,61 @@ fn every_registered_name_is_accepted_by_the_sweep_cli() {
             "{:?} rejected: {stderr}",
             policy.key()
         );
+    }
+}
+
+/// Count flags whose zero value used to panic (`--threads`,
+/// `--hypercycles`) or to report an empty run as success (`--seeds`,
+/// `--horizon-cycles`), each with the arguments of a cheap run.
+const ZERO_REFUSED: [(&str, &[&str]); 4] = [
+    (
+        "--threads",
+        &[
+            "sweep",
+            "--seeds",
+            "1",
+            "--horizon-ms",
+            "8",
+            "--scenario",
+            "ber7",
+        ],
+    ),
+    (
+        "--hypercycles",
+        &["backbone", "--reservation", "hypercycle"],
+    ),
+    (
+        "--seeds",
+        &["sweep", "--horizon-ms", "8", "--scenario", "ber7"],
+    ),
+    ("--horizon-cycles", &["chaos", "--policy", "coefficient"]),
+];
+
+#[test]
+fn zero_counts_are_refused_with_the_valid_range() {
+    for (flag, base) in ZERO_REFUSED {
+        let mut args = base.to_vec();
+        args.extend([flag, "0"]);
+        let out = experiments(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "invalid value for {flag}: 0 (valid range: 1 or more)"
+            )),
+            "{args:?}: diagnostic does not name the valid range: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn the_smallest_valid_counts_are_accepted() {
+    // Happy-path twins of the refusals above: 1 is in range and runs.
+    for (flag, base) in ZERO_REFUSED {
+        let mut args = base.to_vec();
+        args.extend([flag, "1"]);
+        let out = experiments(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} rejected: {stderr}");
     }
 }

@@ -578,6 +578,7 @@ mod tests {
     use crate::{Scenario, StopCondition, COEFFICIENT, FSPEC, GREEDY};
     use event_sim::SimDuration;
     use flexray::config::ClusterConfig;
+    use std::num::NonZeroUsize;
 
     fn small_matrix() -> SweepMatrix {
         SweepMatrix {
@@ -597,7 +598,7 @@ mod tests {
 
     fn sweep() -> SweepReport {
         SweepRunner::new(small_matrix())
-            .threads(2)
+            .threads(NonZeroUsize::new(2).unwrap())
             .run()
             .expect("matrix is schedulable")
     }
@@ -645,7 +646,10 @@ mod tests {
         let corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
         let mut shrunk = small_matrix();
         shrunk.seeds.pop();
-        let fresh = SweepRunner::new(shrunk).threads(1).run().unwrap();
+        let fresh = SweepRunner::new(shrunk)
+            .threads(NonZeroUsize::new(1).unwrap())
+            .run()
+            .unwrap();
         let report = corpus.verify(&fresh);
         assert!(!report.passed());
         assert_eq!(report.missing.len(), 2, "one seed × two policies");
@@ -657,7 +661,12 @@ mod tests {
         // metrics on both sides; that must not fail verification.
         let mut m = small_matrix();
         m.dynamic_messages.clear();
-        let run = || SweepRunner::new(m.clone()).threads(1).run().unwrap();
+        let run = || {
+            SweepRunner::new(m.clone())
+                .threads(NonZeroUsize::new(1).unwrap())
+                .run()
+                .unwrap()
+        };
         let corpus = GoldenCorpus::record("test", &run(), &["coefficient", "fspec"]);
         assert!(corpus.cells[0].metrics.dynamic_latency_mean_ms.is_nan());
         let report = corpus.verify(&run());
@@ -674,7 +683,7 @@ mod tests {
         wide.policies.push(GREEDY);
         let run = || {
             SweepRunner::new(wide.clone())
-                .threads(2)
+                .threads(NonZeroUsize::new(2).unwrap())
                 .run()
                 .expect("widened matrix is schedulable")
         };
@@ -712,7 +721,10 @@ mod tests {
         let corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
         let mut wide = small_matrix();
         wide.policies.push(GREEDY);
-        let fresh = SweepRunner::new(wide).threads(2).run().unwrap();
+        let fresh = SweepRunner::new(wide)
+            .threads(NonZeroUsize::new(2).unwrap())
+            .run()
+            .unwrap();
         let report = corpus.verify(&fresh);
         assert!(!report.passed());
         assert_eq!(report.extra_cells, 2, "one new policy × two seeds");

@@ -58,6 +58,7 @@
 #![warn(missing_debug_implementations)]
 
 mod assignment;
+mod candidates;
 pub mod golden;
 mod instance;
 mod policy;

@@ -38,6 +38,7 @@ use reliability::{MessageReliability, RetransmissionPlanner};
 use workloads::{AperiodicMessage, Criticality};
 
 use crate::assignment::{AllocationError, OccupantKind, SlotPosition, StaticAllocation};
+use crate::candidates::{Candidate, CandidateIndex, MAX_RECOVERY_BUDGET};
 use crate::instance::{InstanceId, InstanceTracker, MessageClass};
 use crate::registry::{PolicyBehavior, PolicyRef};
 use crate::scenario::Scenario;
@@ -92,9 +93,19 @@ struct StaticInfo {
     /// through the dynamic segment. FSPEC: its uniform best-effort count.
     dynamic_copies: u32,
     /// The message's primary slot pattern, precomputed at construction so
-    /// the early-copy scan does not pay the allocation's linear primary
-    /// lookup once per candidate per free slot.
+    /// each release does not pay the allocation's linear primary lookup.
     primary: Option<SlotPosition>,
+}
+
+/// Which free-slot search is asking (see [`Scheduler::pick`]).
+#[derive(Debug, Clone, Copy)]
+enum Search {
+    /// A nominal early copy: a released instance with no early copy yet
+    /// whose primary occurrence is still ahead.
+    EarlyCopy,
+    /// A degraded-mode or failover copy: an undelivered instance before
+    /// its deadline holding fewer than `budget` opportunistic copies.
+    Recovery { budget: u32 },
 }
 
 #[derive(Debug, Clone)]
@@ -139,9 +150,17 @@ pub struct Scheduler {
     options: CoefficientOptions,
     config: ClusterConfig,
     alloc: StaticAllocation,
-    /// Ordered so iteration (the early-copy scan) is deterministic: ties on
-    /// deadline resolve to the lowest message id, not HashMap bucket order.
+    /// Ordered so iteration (the reference scan) is deterministic: ties
+    /// on deadline resolve to the lowest message id, not HashMap bucket
+    /// order.
     statics: BTreeMap<MessageId, StaticInfo>,
+    /// Released static instances the free-slot searches may pick, for
+    /// the policies that search (`None` for separate-segment schemes).
+    candidates: Option<CandidateIndex>,
+    /// Debug builds: answer the free-slot searches with the reference
+    /// scan instead of the index (see [`Scheduler::use_reference_scan`]).
+    #[cfg(any(test, debug_assertions))]
+    reference_scan: bool,
     dynamics: HashMap<u16, DynInfo>,
     tracker: InstanceTracker,
     /// Per-channel dynamic queues, sorted by (frame id, seq).
@@ -378,6 +397,16 @@ impl Scheduler {
             );
         }
 
+        // The free-slot searches run only on cooperative positions: early
+        // copies, degraded-mode hard copies and failover mirrors.
+        let coop = behavior.cooperative_segments;
+        let early_view = coop && options.early_copies;
+        let recovery_view = coop
+            && ((behavior.degraded_hard_copies && options.early_copies)
+                || (behavior.failover && options.dual_channel));
+        let candidates = (early_view || recovery_view)
+            .then(|| CandidateIndex::new(static_messages.len(), early_view, recovery_view));
+
         let mut dynamics = HashMap::new();
         for (i, d) in dynamic_messages.iter().enumerate() {
             // Dual-channel schemes balance first transmissions across the
@@ -414,6 +443,9 @@ impl Scheduler {
             config,
             alloc,
             statics,
+            candidates,
+            #[cfg(any(test, debug_assertions))]
+            reference_scan: false,
             dynamics,
             tracker: InstanceTracker::new(),
             // Pre-sized so the steady-state cycle loop never grows them:
@@ -566,7 +598,8 @@ impl Scheduler {
     /// buffers (dynamic queues, in-flight staging, FSPEC slot queues) —
     /// capacity, not length, so it reports the high-water footprint the
     /// allocation-free cycle loop runs in. The `bench cycles` harness
-    /// records this per policy.
+    /// records this per policy. The free-slot candidate index is not
+    /// included, so the figure stays comparable with earlier records.
     pub fn scratch_bytes(&self) -> u64 {
         use std::mem::size_of;
         let queues: usize = self
@@ -596,19 +629,53 @@ impl Scheduler {
     }
 
     /// Registers a newly produced static message instance. The paper's
-    /// model: hard-deadline periodic task release.
+    /// model: hard-deadline periodic task release. Releases arrive in time
+    /// order, each before the bus reaches it, and releases of one message
+    /// are at least its period apart (the [`crate::Runner`] produces each
+    /// cycle's releases before running the cycle); debug builds check this.
     ///
     /// # Panics
     /// Panics if `message` is not a configured static message.
     pub fn produce_static(&mut self, message: MessageId, now: SimTime) -> InstanceId {
         let info = self.statics.get(&message).expect("unknown static message");
         let deadline = now + info.signal.deadline;
-        let expires = deadline + info.signal.period;
-        let (copies, payload) = (info.dynamic_copies, info.payload_bytes);
+        // The candidate index's live intervals stand in for the scan's
+        // "newest instance at or before the slot" only if no two windows
+        // of one message overlap.
+        debug_assert!(
+            self.candidates.is_none()
+                || self.tracker.current_of(message).is_none_or(|prev| {
+                    self.tracker.get(prev).produced_at + info.signal.period <= now
+                }),
+            "releases of message {message} must be at least a period apart"
+        );
         let instance = self
             .tracker
             .produce(message, MessageClass::Static, now, deadline);
-        let _ = (payload, expires);
+        let capacity = self.config.static_slot_capacity_bits();
+        if let Some(index) = self.candidates.as_mut() {
+            if info.wire_bits <= capacity {
+                let window_end = now + info.signal.period;
+                let primary = info.primary.expect("static has a primary");
+                let next_primary = next_occurrence_at_or_after(
+                    &self.config,
+                    primary.slot,
+                    primary.base_cycle,
+                    primary.repetition,
+                    now,
+                );
+                index.insert(Candidate {
+                    deadline,
+                    message,
+                    instance,
+                    payload_bytes: info.payload_bytes,
+                    produced_at: now,
+                    early_end: window_end.min(next_primary),
+                    recovery_end: window_end.min(deadline),
+                });
+            }
+        }
+        let copies = info.dynamic_copies;
         if self.behavior.own_slot_serialization {
             // All transmissions (primary + best-effort copies) are
             // serialized through the message's own slot pattern; the
@@ -709,13 +776,27 @@ impl Scheduler {
     }
 
     /// Drops queued dynamic entries whose usefulness window has passed
-    /// (one full generation beyond the deadline). The [`crate::Runner`]
-    /// calls this at each cycle start; undelivered purged instances count
-    /// as deadline misses in the final accounting.
+    /// (one full generation beyond the deadline) and prunes the free-slot
+    /// candidate index. The [`crate::Runner`] calls this at each cycle
+    /// start; undelivered purged instances count as deadline misses in
+    /// the final accounting. No free-slot search may ask about an instant
+    /// before `now` afterwards.
     pub fn purge_expired(&mut self, now: SimTime) {
         for q in &mut self.queues {
             q.retain(|(_, e)| e.expires > now);
         }
+        if let Some(index) = &mut self.candidates {
+            index.prune(now, &self.tracker);
+        }
+    }
+
+    /// Debug builds only: answers every free-slot search with the
+    /// reference scan instead of the candidate index, so a test can
+    /// compare whole runs driven by either.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn use_reference_scan(&mut self) {
+        self.reference_scan = true;
     }
 
     fn enqueue_dynamic(&mut self, channel: ChannelId, p: DynPending) {
@@ -743,8 +824,6 @@ impl Scheduler {
     /// static instance whose primary occurrence is still ahead.
     fn cooperative_fill(
         &mut self,
-        cycle: u64,
-        cycle_counter: u8,
         slot: u16,
         channel: ChannelId,
         slot_start: SimTime,
@@ -761,7 +840,7 @@ impl Scheduler {
             && self.health.is_degraded()
             && self.options.early_copies
         {
-            if let Some(payload) = self.degraded_hard_copy(slot_start, capacity) {
+            if let Some(payload) = self.degraded_hard_copy(channel, slot_start) {
                 if self.tracer.is_enabled() {
                     self.tracer.emit(
                         slot_start,
@@ -827,66 +906,19 @@ impl Scheduler {
         }
         // 2. Early copy: a static instance released but with its primary
         // occurrence still ahead in this matrix period.
-        let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
-        for (id, info) in &self.statics {
-            let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
-                continue;
-            };
-            let inst = self.tracker.get(instance);
-            if inst.early_copies > 0 {
-                continue;
-            }
-            if !self.static_instance_window_open(instance, slot_start) {
-                continue;
-            }
-            let primary = info.primary.expect("static has a primary");
-            // Has the primary already fired for this instance? The next
-            // primary occurrence at/after production must still be ahead
-            // of this slot.
-            let next_primary = next_occurrence_at_or_after(
-                &self.config,
-                primary.slot,
-                primary.base_cycle,
-                primary.repetition,
-                inst.produced_at,
+        let picked = self.pick(Search::EarlyCopy, channel, slot_start)?;
+        self.early_copies_sent += 1;
+        if self.tracer.is_enabled() {
+            self.tracer.emit(
+                slot_start,
+                EventKind::EarlyCopy {
+                    channel: channel.index() as u8,
+                    slot: u64::from(slot),
+                    frame_id: u64::from(picked.0),
+                },
             );
-            if next_primary <= slot_start {
-                continue; // primary already had its chance
-            }
-            if (cycle, slot) >= occurrence_cycle_slot(&self.config, next_primary) {
-                continue;
-            }
-            let _ = cycle_counter;
-            if info.wire_bits > capacity {
-                continue;
-            }
-            let key = inst.deadline;
-            if best.is_none_or(|(d, ..)| key < d) {
-                best = Some((key, *id, instance, info.payload_bytes));
-            }
         }
-        if let Some((_, message, instance, payload_bytes)) = best {
-            self.tracker.get_mut(instance).early_copies += 1;
-            self.early_copies_sent += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    slot_start,
-                    EventKind::EarlyCopy {
-                        channel: channel.index() as u8,
-                        slot: u64::from(slot),
-                        frame_id: u64::from(message),
-                    },
-                );
-            }
-            let produced_at = self.tracker.get(instance).produced_at;
-            self.in_flight.push_back(instance);
-            return Some(OutboundPayload {
-                message,
-                payload_bytes,
-                produced_at,
-            });
-        }
-        None
+        Some(self.send_copy(picked))
     }
 
     /// Degraded-mode online re-plan: one more copy of the most urgent
@@ -898,48 +930,18 @@ impl Scheduler {
     /// the offline Theorem-1 plan cannot cover.
     fn degraded_hard_copy(
         &mut self,
+        channel: ChannelId,
         slot_start: SimTime,
-        capacity: u64,
     ) -> Option<OutboundPayload> {
         let budget = match self.health {
             HealthState::Nominal => return None,
             HealthState::Stressed => 2,
             HealthState::Storm => 3,
         };
-        let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
-        for (id, info) in &self.statics {
-            if info.wire_bits > capacity {
-                continue;
-            }
-            let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
-                continue;
-            };
-            let inst = self.tracker.get(instance);
-            if inst.is_delivered() || inst.early_copies >= budget {
-                continue;
-            }
-            if slot_start >= inst.deadline {
-                continue; // past the deadline, a copy cannot save it
-            }
-            if !self.static_instance_window_open(instance, slot_start) {
-                continue;
-            }
-            let deadline = self.tracker.get(instance).deadline;
-            if best.is_none_or(|(d, ..)| deadline < d) {
-                best = Some((deadline, *id, instance, info.payload_bytes));
-            }
-        }
-        let (_, message, instance, payload_bytes) = best?;
-        self.tracker.get_mut(instance).early_copies += 1;
+        let picked = self.pick(Search::Recovery { budget }, channel, slot_start)?;
         self.degraded_extra_copies += 1;
         self.copy_transmissions += 1;
-        let produced_at = self.tracker.get(instance).produced_at;
-        self.in_flight.push_back(instance);
-        Some(OutboundPayload {
-            message,
-            payload_bytes,
-            produced_at,
-        })
+        Some(self.send_copy(picked))
     }
 
     /// Dual-channel failover: when the *other* channel is degraded and
@@ -957,7 +959,6 @@ impl Scheduler {
         channel: ChannelId,
         slot_start: SimTime,
     ) -> Option<OutboundPayload> {
-        const FAILOVER_BUDGET: u32 = 4;
         if !self.options.dual_channel {
             return None;
         }
@@ -967,6 +968,73 @@ impl Scheduler {
         {
             return None;
         }
+        let search = Search::Recovery {
+            budget: MAX_RECOVERY_BUDGET,
+        };
+        let picked = self.pick(search, channel, slot_start)?;
+        self.failover_mirrors += 1;
+        self.copy_transmissions += 1;
+        Some(self.send_copy(picked))
+    }
+
+    /// Stages an opportunistic copy of `instance`, spending one unit of
+    /// its opportunistic-copy budget (`early_copies`).
+    fn send_copy(
+        &mut self,
+        (message, instance, payload_bytes): (MessageId, InstanceId, u16),
+    ) -> OutboundPayload {
+        let inst = self.tracker.get_mut(instance);
+        inst.early_copies += 1;
+        let produced_at = inst.produced_at;
+        self.in_flight.push_back(instance);
+        OutboundPayload {
+            message,
+            payload_bytes,
+            produced_at,
+        }
+    }
+
+    /// The most urgent static instance `search` lets a free position on
+    /// `channel` at `slot_start` carry: `(message, instance, payload
+    /// bytes)`. Answered by the candidate index; debug builds cross-check
+    /// every answer against the reference scan.
+    fn pick(
+        &mut self,
+        search: Search,
+        channel: ChannelId,
+        slot_start: SimTime,
+    ) -> Option<(MessageId, InstanceId, u16)> {
+        #[cfg(any(test, debug_assertions))]
+        let reference = self.scan(search, slot_start);
+        #[cfg(any(test, debug_assertions))]
+        if self.reference_scan {
+            return reference;
+        }
+        let index = self
+            .candidates
+            .as_mut()
+            .expect("searching policies build the candidate index");
+        let found = match search {
+            Search::EarlyCopy => index.early_copy(channel, slot_start, &self.tracker),
+            Search::Recovery { budget } => {
+                index.recovery(channel, slot_start, budget, &self.tracker)
+            }
+        }
+        .map(|c| (c.message, c.instance, c.payload_bytes));
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            found, reference,
+            "candidate index disagrees with the scan: {search:?} on {channel:?} at {slot_start:?}"
+        );
+        found
+    }
+
+    /// The linear scan the candidate index replaced, kept as its oracle:
+    /// every static message's newest instance at or before `slot_start`
+    /// whose generation window is open, filtered by `search`; the lowest
+    /// `(deadline, message id)` wins.
+    #[cfg(any(test, debug_assertions))]
+    fn scan(&self, search: Search, slot_start: SimTime) -> Option<(MessageId, InstanceId, u16)> {
         let capacity = self.config.static_slot_capacity_bits();
         let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
         for (id, info) in &self.statics {
@@ -976,32 +1044,34 @@ impl Scheduler {
             let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
                 continue;
             };
-            let inst = self.tracker.get(instance);
-            if inst.is_delivered() || inst.early_copies >= FAILOVER_BUDGET {
-                continue;
-            }
-            if slot_start >= inst.deadline {
-                continue;
-            }
             if !self.static_instance_window_open(instance, slot_start) {
                 continue;
             }
-            let deadline = inst.deadline;
-            if best.is_none_or(|(d, ..)| deadline < d) {
-                best = Some((deadline, *id, instance, info.payload_bytes));
+            let inst = self.tracker.get(instance);
+            let eligible = match search {
+                // The primary must not have had its chance yet.
+                Search::EarlyCopy => {
+                    let primary = info.primary.expect("static has a primary");
+                    inst.early_copies == 0
+                        && slot_start
+                            < next_occurrence_at_or_after(
+                                &self.config,
+                                primary.slot,
+                                primary.base_cycle,
+                                primary.repetition,
+                                inst.produced_at,
+                            )
+                }
+                // Past the deadline, a copy cannot save it.
+                Search::Recovery { budget } => {
+                    !inst.is_delivered() && inst.early_copies < budget && slot_start < inst.deadline
+                }
+            };
+            if eligible && best.is_none_or(|(d, ..)| inst.deadline < d) {
+                best = Some((inst.deadline, *id, instance, info.payload_bytes));
             }
         }
-        let (_, message, instance, payload_bytes) = best?;
-        self.tracker.get_mut(instance).early_copies += 1;
-        self.failover_mirrors += 1;
-        self.copy_transmissions += 1;
-        let produced_at = self.tracker.get(instance).produced_at;
-        self.in_flight.push_back(instance);
-        Some(OutboundPayload {
-            message,
-            payload_bytes,
-            produced_at,
-        })
+        best.map(|(_, message, instance, payload_bytes)| (message, instance, payload_bytes))
     }
 }
 
@@ -1031,14 +1101,6 @@ fn next_occurrence_at_or_after(
     } else {
         config.static_slot_start(aligned + rep, u64::from(slot))
     }
-}
-
-///`(cycle, slot)` coordinates of an occurrence instant.
-fn occurrence_cycle_slot(config: &ClusterConfig, t: SimTime) -> (u64, u16) {
-    let cycle = config.cycle_of(t);
-    let offset = t - config.cycle_start(cycle);
-    let slot = offset.as_nanos() / config.static_slot_duration().as_nanos() + 1;
-    (cycle, slot as u16)
 }
 
 impl TrafficSource for Scheduler {
@@ -1146,7 +1208,7 @@ impl TrafficSource for Scheduler {
                 return Some(payload);
             }
         }
-        self.cooperative_fill(cycle, cycle_counter, slot, channel, slot_start)
+        self.cooperative_fill(slot, channel, slot_start)
     }
 
     fn dynamic_frame(

@@ -634,6 +634,18 @@ impl Runner {
         &self.scheduler
     }
 
+    /// Debug builds only: drives the scheduler's free-slot searches with
+    /// the reference scan instead of the candidate index (see
+    /// [`Scheduler::use_reference_scan`]), so a test can compare whole
+    /// runs driven by either.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_reference_scan(mut self) -> Self {
+        self.scheduler.use_reference_scan();
+        self
+    }
+
     /// Runs to completion and reports.
     pub fn run(self) -> RunReport {
         self.run_with_instances().0

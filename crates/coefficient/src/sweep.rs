@@ -37,7 +37,10 @@
 //!     stop: StopCondition::Horizon(SimDuration::from_millis(20)),
 //!     seed_strategy: SeedStrategy::PerCell,
 //! };
-//! let report = SweepRunner::new(matrix).threads(2).run().unwrap();
+//! let report = SweepRunner::new(matrix)
+//!     .threads(std::num::NonZeroUsize::new(2).unwrap())
+//!     .run()
+//!     .unwrap();
 //! assert_eq!(report.cells.len(), 4);
 //! ```
 
@@ -323,7 +326,7 @@ pub fn default_threads() -> usize {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     matrix: SweepMatrix,
-    threads: Option<usize>,
+    threads: Option<NonZeroUsize>,
 }
 
 impl SweepRunner {
@@ -336,12 +339,9 @@ impl SweepRunner {
         }
     }
 
-    /// Overrides the worker count (1 forces serial execution).
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "at least one worker thread required");
+    /// Overrides the worker count (1 forces serial execution). A sweep
+    /// needs at least one worker, so the count is non-zero by type.
+    pub fn threads(mut self, threads: NonZeroUsize) -> Self {
         self.threads = Some(threads);
         self
     }
@@ -354,7 +354,7 @@ impl SweepRunner {
     /// The worker count [`run`](Self::run) will use.
     pub fn effective_threads(&self) -> usize {
         self.threads
-            .unwrap_or_else(default_threads)
+            .map_or_else(default_threads, NonZeroUsize::get)
             .min(self.matrix.cell_count().max(1))
     }
 
@@ -558,7 +558,7 @@ mod tests {
     #[test]
     fn sweep_aggregates_every_group() {
         let report = SweepRunner::new(small_matrix(SeedStrategy::PerCell))
-            .threads(2)
+            .threads(NonZeroUsize::new(2).unwrap())
             .run()
             .unwrap();
         assert_eq!(report.cells.len(), 8);
@@ -575,11 +575,11 @@ mod tests {
     #[test]
     fn parallel_execution_matches_serial_bit_for_bit() {
         let serial = SweepRunner::new(small_matrix(SeedStrategy::PerCell))
-            .threads(1)
+            .threads(NonZeroUsize::new(1).unwrap())
             .run()
             .unwrap();
         let parallel = SweepRunner::new(small_matrix(SeedStrategy::PerCell))
-            .threads(4)
+            .threads(NonZeroUsize::new(4).unwrap())
             .run()
             .unwrap();
         assert_eq!(serial.fingerprint(), parallel.fingerprint());
@@ -591,7 +591,8 @@ mod tests {
 
     #[test]
     fn replay_reproduces_a_cell() {
-        let runner = SweepRunner::new(small_matrix(SeedStrategy::PerCell)).threads(4);
+        let runner = SweepRunner::new(small_matrix(SeedStrategy::PerCell))
+            .threads(NonZeroUsize::new(4).unwrap());
         let report = runner.run().unwrap();
         let coord = CellCoord {
             policy: 1,
@@ -623,7 +624,8 @@ mod tests {
 
     #[test]
     fn effective_threads_cap_at_cell_count() {
-        let runner = SweepRunner::new(small_matrix(SeedStrategy::PerCell)).threads(64);
+        let runner = SweepRunner::new(small_matrix(SeedStrategy::PerCell))
+            .threads(NonZeroUsize::new(64).unwrap());
         assert_eq!(runner.effective_threads(), 8);
         assert!(SweepRunner::new(small_matrix(SeedStrategy::PerCell)).effective_threads() >= 1);
     }
@@ -631,7 +633,7 @@ mod tests {
     #[test]
     fn fingerprint_differs_between_policies() {
         let report = SweepRunner::new(small_matrix(SeedStrategy::PerCell))
-            .threads(4)
+            .threads(NonZeroUsize::new(4).unwrap())
             .run()
             .unwrap();
         let co = report

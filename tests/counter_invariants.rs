@@ -9,6 +9,8 @@
 //!   on full runs, not just on the hand-built schedules of the unit
 //!   tests.
 
+use std::num::NonZeroUsize;
+
 use coefficient::{
     CellCoord, PolicyRef, RunCounters, Scenario, SeedStrategy, StopCondition, SweepMatrix,
     SweepRunner, COEFFICIENT, FSPEC,
@@ -143,8 +145,14 @@ fn counters_agree_across_thread_counts() {
         seeds: vec![5, 6],
         ..single_cell_matrix(COEFFICIENT, 5, 30)
     };
-    let serial = SweepRunner::new(matrix.clone()).threads(1).run().unwrap();
-    let parallel = SweepRunner::new(matrix).threads(8).run().unwrap();
+    let serial = SweepRunner::new(matrix.clone())
+        .threads(NonZeroUsize::new(1).unwrap())
+        .run()
+        .unwrap();
+    let parallel = SweepRunner::new(matrix)
+        .threads(NonZeroUsize::new(8).unwrap())
+        .run()
+        .unwrap();
     for (a, b) in serial.cells.iter().zip(&parallel.cells) {
         assert_eq!(a.coord, b.coord);
         assert_eq!(a.report.counters, b.report.counters, "cell {:?}", a.coord);

@@ -22,6 +22,8 @@
 //! (property-based, any policy), and on fault-free scenarios the greedy
 //! baseline reproduces CoEfficient's static schedule cell by cell.
 
+use std::num::NonZeroUsize;
+
 use coefficient::{
     CellCoord, PolicyRef, RunConfig, Runner, Scenario, Scheduler, SeedStrategy, StopCondition,
     SweepMatrix, SweepRunner, TraceConfig, COEFFICIENT, GREEDY,
@@ -181,12 +183,12 @@ fn counter_identities_hold_for_every_policy() {
 #[test]
 fn every_policy_is_deterministic_across_1_2_and_8_threads() {
     let serial = SweepRunner::new(registry_matrix())
-        .threads(1)
+        .threads(NonZeroUsize::new(1).unwrap())
         .run()
         .unwrap();
     for threads in [2, 8] {
         let parallel = SweepRunner::new(registry_matrix())
-            .threads(threads)
+            .threads(NonZeroUsize::new(threads).unwrap())
             .run()
             .unwrap();
         assert_eq!(serial.cells.len(), parallel.cells.len());

@@ -7,6 +7,8 @@
 //! * per-cell seeds derived under `SeedStrategy::PerCell` stay paired
 //!   across policies (so policy comparisons remain like-for-like).
 
+use std::num::NonZeroUsize;
+
 use coefficient::{
     CellCoord, Scenario, SeedStrategy, StopCondition, SweepMatrix, SweepReport, SweepRunner,
     COEFFICIENT, FSPEC,
@@ -29,7 +31,7 @@ fn matrix(strategy: SeedStrategy) -> SweepMatrix {
 
 fn run_with(threads: usize, strategy: SeedStrategy) -> SweepReport {
     SweepRunner::new(matrix(strategy))
-        .threads(threads)
+        .threads(NonZeroUsize::new(threads).unwrap())
         .run()
         .expect("matrix is schedulable")
 }
@@ -63,7 +65,8 @@ fn fingerprints_are_identical_across_thread_counts() {
 
 #[test]
 fn every_cell_replays_to_its_recorded_fingerprint() {
-    let runner = SweepRunner::new(matrix(SeedStrategy::PerCell)).threads(8);
+    let runner =
+        SweepRunner::new(matrix(SeedStrategy::PerCell)).threads(NonZeroUsize::new(8).unwrap());
     let report = runner.run().expect("matrix is schedulable");
     for cell in &report.cells {
         let replayed = runner.replay(cell.coord).expect("cell is schedulable");
