@@ -98,6 +98,7 @@ use bench_harness::sweep::{
 };
 use bench_harness::table::print_table;
 use bench_harness::trace::{counter_names, trace_json, validate_trace};
+use bench_harness::{out, outln};
 use coefficient::{CellCoord, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig};
 use event_sim::SimDuration;
 use fleet::FleetSpec;
@@ -175,7 +176,7 @@ fn parse_spec(args: &[String]) -> SweepSpec {
     if let Some(v) = parse_number(args, "--minislots") {
         spec.minislots = v;
     }
-    if let Some(v) = parse_number(args, "--horizon-ms") {
+    if let Some(v) = parse_count(args, "--horizon-ms") {
         spec.horizon_ms = v;
     }
     if let Some(v) = parse_count(args, "--threads") {
@@ -220,9 +221,9 @@ fn run_sweep(args: &[String]) {
     if args.iter().any(|a| a == "--json" || a == "--pretty") {
         let doc = sweep_report_json(&report);
         if args.iter().any(|a| a == "--pretty") {
-            println!("{}", doc.pretty());
+            outln!("{}", doc.pretty());
         } else {
-            println!("{doc}");
+            outln!("{doc}");
         }
         return;
     }
@@ -306,7 +307,7 @@ fn run_replay(args: &[String]) {
         eprintln!("replayed cell is unschedulable: {e:?}");
         std::process::exit(1);
     });
-    println!("{}", cell_json(&outcome).pretty());
+    outln!("{}", cell_json(&outcome).pretty());
 }
 
 // ---------------------------------------------------------------------------
@@ -410,13 +411,13 @@ fn run_trace(args: &[String]) {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "trace: {} {} seed {} -> {out}",
         policy_label(cell.policy),
         cell.scenario,
         cell.seed
     );
-    println!(
+    outln!(
         "  {} events ({} dropped, capacity {}), fingerprint {:016x} (= untraced replay)",
         log.events.len(),
         log.dropped,
@@ -442,7 +443,7 @@ fn run_golden(args: &[String]) {
                 eprintln!("cannot write {out}: {e}");
                 std::process::exit(1);
             });
-            println!(
+            outln!(
                 "golden record: wrote {} cells, {} groups and {} backbone cells to {out}",
                 file.corpus.cells.len(),
                 file.corpus.groups.len(),
@@ -460,7 +461,7 @@ fn run_golden(args: &[String]) {
                 eprintln!("golden verify could not replay: {e}");
                 std::process::exit(1);
             });
-            print!("{report}");
+            out!("{report}");
             let backbone_defects = verify_backbone(&file).unwrap_or_else(|e| {
                 eprintln!("backbone replay failed to run: {e}");
                 std::process::exit(1);
@@ -469,7 +470,7 @@ fn run_golden(args: &[String]) {
                 eprintln!("{defect}");
             }
             if backbone_defects.is_empty() {
-                println!(
+                outln!(
                     "backbone: {} cell(s) replayed bit-identically",
                     file.backbone.len()
                 );
@@ -502,7 +503,7 @@ fn run_cycles(args: &[String]) {
         eprintln!("cycles matrix is unschedulable: {e:?}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "bench cycles ({} mode): {} scenarios x {} seeds, best of {} iters, \
          calibration {:.2} ms",
         report.mode,
@@ -512,7 +513,7 @@ fn run_cycles(args: &[String]) {
         report.calibration.as_secs_f64() * 1e3,
     );
     for p in &report.policies {
-        println!(
+        outln!(
             "  {:<12} {:>3} cells  {:>9} cycles  {:>8.1} ms  {:>12.0} cycles/s  {:>8.1} ns/cycle  {:>7} scratch B",
             p.policy,
             p.cells,
@@ -529,7 +530,7 @@ fn run_cycles(args: &[String]) {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(1);
         });
-        println!("bench cycles: wrote {out}");
+        outln!("bench cycles: wrote {out}");
     }
     if let Some(path) = flag_value(args, "--baseline") {
         let tolerance: f64 = parse_number(args, "--tolerance").unwrap_or(CYCLES_TOLERANCE);
@@ -552,7 +553,7 @@ fn run_cycles(args: &[String]) {
         let mut regressed = false;
         for c in &comparisons {
             let verdict = if c.regressed { "FAIL" } else { "PASS" };
-            println!(
+            outln!(
                 "  [{verdict}] {:<12} {:>12.0} cycles/s vs baseline {:>12.0} \
                  ({:+.1}% host-normalized)",
                 c.policy,
@@ -570,7 +571,7 @@ fn run_cycles(args: &[String]) {
             );
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "bench cycles: all policies within {:.0}% of {path}",
             tolerance * 100.0,
         );
@@ -616,7 +617,7 @@ fn run_fleet(args: &[String]) {
         }
         spec.shard_size = v;
     }
-    if let Some(v) = parse_number(args, "--horizon-ms") {
+    if let Some(v) = parse_count(args, "--horizon-ms") {
         spec.horizon = fleet_bench::horizon_from_ms(v);
     }
     if let Some(v) = parse_number(args, "--minislots") {
@@ -642,7 +643,7 @@ fn run_fleet(args: &[String]) {
         every: parse_number(args, "--stats-every-ms").map(std::time::Duration::from_millis),
     };
 
-    println!(
+    outln!(
         "fleet: {} vehicles, env {}, seed {}, {} polic{}, {} shards x {}, {} threads",
         spec.vehicles,
         spec.env.name,
@@ -657,7 +658,7 @@ fn run_fleet(args: &[String]) {
     let calibration = fleet_bench::fleet_calibration();
     let run = fleet::stats::run_with_stats(&spec, threads, &stats);
 
-    println!(
+    outln!(
         "fleet: done in {:.1}s ({:.0} vehicles/s), digest {:016x}, \
          aggregation state {} KiB",
         run.wall_clock.as_secs_f64(),
@@ -671,7 +672,7 @@ fn run_fleet(args: &[String]) {
             h.quantile_upper_bound(q)
                 .map_or_else(|| "n/a".to_string(), |v| v.to_string())
         };
-        println!(
+        outln!(
             "  {}: {} vehicles ({} unschedulable), miss ratio {:.3e}, \
              miss ppb p50/p99/p99.99/p99.999 = {}/{}/{}/{}, recovery p99.999 {} ns",
             policy.label(),
@@ -692,7 +693,7 @@ fn run_fleet(args: &[String]) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
-        println!("  wrote {path}");
+        outln!("  wrote {path}");
     }
     if let Some(path) = flag_value(args, "--bench-out") {
         let doc = fleet_bench::fleet_bench_json(&spec, &run, calibration);
@@ -700,7 +701,7 @@ fn run_fleet(args: &[String]) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
-        println!("  wrote {path}");
+        outln!("  wrote {path}");
     }
 }
 
@@ -731,7 +732,7 @@ fn run_backbone(args: &[String]) {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "backbone {}: {} — hypercycle {} µs, {} flows, {} cells",
         topology.name,
         topology.summary,
@@ -749,7 +750,7 @@ fn run_backbone(args: &[String]) {
             .unwrap_or(0);
         let reserved: u64 = cell.ports.iter().map(|p| p.windows_reserved).sum();
         let total: u64 = cell.ports.iter().map(|p| p.windows_total).sum();
-        println!(
+        outln!(
             "  {:<10} {:<12} seed {}  admitted {:>2}/{}  windows {:>2}/{}  \
              worst p99 {:>9} ns  missed {}  fingerprint {:016x}",
             cell.reservation,
@@ -765,7 +766,7 @@ fn run_backbone(args: &[String]) {
         );
         if args.iter().any(|a| a == "--flows") {
             for flow in cell.flows.iter().filter(|f| f.admitted) {
-                println!(
+                outln!(
                     "    flow {:>3}  {:>3}/{:<3} delivered  p50 {:>9} ns  p99 {:>9} ns  \
                      jitter {:>9} ns (bound {} ns)",
                     flow.flow,
@@ -785,13 +786,13 @@ fn run_backbone(args: &[String]) {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(1);
         });
-        println!("  wrote {out}");
+        outln!("  wrote {out}");
     }
     if let Err(defect) = check_backbone_matrix(&reports) {
         eprintln!("backbone GATE FAILED: {defect}");
         std::process::exit(1);
     }
-    println!("backbone: gates passed (jitter within declared bounds, hypercycle gain present)");
+    outln!("backbone: gates passed (jitter within declared bounds, hypercycle gain present)");
 }
 
 fn run_trace_overhead(args: &[String]) {
@@ -836,7 +837,7 @@ fn run_trace_overhead(args: &[String]) {
     let traced =
         bench_harness::timing::bench("trace-overhead/traced", iters, || run(traced_cfg.clone()));
     let ratio = traced.min.as_secs_f64() / untraced.min.as_secs_f64();
-    println!(
+    outln!(
         "trace-overhead: cell {},{},{} — untraced best {:.3} ms, traced best {:.3} ms \
          (ring {capacity}, sample_every {sample_every}): {:+.2}% (gate < {:.0}%)",
         coord.policy,
@@ -883,7 +884,7 @@ fn run_determinism(args: &[String]) {
             eprintln!("sweep configuration is unschedulable: {e:?}");
             std::process::exit(1);
         });
-        println!(
+        outln!(
             "determinism: {} cells on {threads:>2} thread(s) in {:>7.0} ms -> fingerprint {:016x}",
             report.cells.len(),
             report.wall_clock.as_secs_f64() * 1e3,
@@ -895,7 +896,7 @@ fn run_determinism(args: &[String]) {
         eprintln!("determinism FAILED: fingerprints diverge across thread counts");
         std::process::exit(1);
     }
-    println!("determinism: all {} runs agree", thread_counts.len());
+    outln!("determinism: all {} runs agree", thread_counts.len());
 }
 
 // ---------------------------------------------------------------------------
@@ -917,7 +918,7 @@ const STORM_SMOKE_SEED: u64 = 1;
 /// end); the run is deterministic, so the gate is exact, not statistical.
 fn run_storm_smoke(args: &[String]) {
     let seed = parse_number(args, "--seed").unwrap_or(STORM_SMOKE_SEED);
-    let horizon_ms: u64 = parse_number(args, "--horizon-ms").unwrap_or(200);
+    let horizon_ms: u64 = parse_count(args, "--horizon-ms").unwrap_or(200);
     let report = run_once(
         ClusterConfig::paper_mixed(50),
         Scenario::ber7().storm(),
@@ -928,11 +929,11 @@ fn run_storm_smoke(args: &[String]) {
         seed,
     );
     let c = report.counters;
-    println!(
+    outln!(
         "storm-smoke: seed {seed}, horizon {horizon_ms} ms, fingerprint {:016x}",
         report.fingerprint()
     );
-    println!(
+    outln!(
         "  frames {} ({} corrupted; channel A {}/{}, channel B {}/{})",
         report.frames,
         report.corrupted,
@@ -941,20 +942,24 @@ fn run_storm_smoke(args: &[String]) {
         report.channel_faults[1].faults_injected,
         report.channel_faults[1].frames_checked,
     );
-    println!(
+    outln!(
         "  static deadlines {}/{} met, dynamic {}/{} met",
         report.static_deadlines.met(),
         report.static_deadlines.met() + report.static_deadlines.missed(),
         report.dynamic_deadlines.met(),
         report.dynamic_deadlines.met() + report.dynamic_deadlines.missed(),
     );
-    println!(
+    outln!(
         "  health: {} transitions, {} storm entries, {} restores",
-        c.health_transitions, c.storm_entries, c.service_restores
+        c.health_transitions,
+        c.storm_entries,
+        c.service_restores
     );
-    println!(
+    outln!(
         "  degraded mode: {} soft shed, {} extra hard copies, {} failover mirrors",
-        c.soft_shed, c.degraded_extra_copies, c.failover_mirrors
+        c.soft_shed,
+        c.degraded_extra_copies,
+        c.failover_mirrors
     );
     let checks: [(&str, bool); 5] = [
         (
@@ -971,7 +976,7 @@ fn run_storm_smoke(args: &[String]) {
     ];
     let mut failed = false;
     for (claim, pass) in checks {
-        println!("  [{}] {claim}", if pass { "PASS" } else { "FAIL" });
+        outln!("  [{}] {claim}", if pass { "PASS" } else { "FAIL" });
         failed |= !pass;
     }
     if failed {
@@ -1055,7 +1060,7 @@ fn run_chaos(args: &[String]) {
         std::process::exit(1);
     });
 
-    println!(
+    outln!(
         "chaos: campaign {campaign_name}, scenario {}, seed {seed}, horizon {horizon_cycles} cycles",
         scenario.name
     );
@@ -1067,7 +1072,7 @@ fn run_chaos(args: &[String]) {
             let max = card.recovery_latencies.iter().max().expect("non-empty");
             format!("{min}..{max} cycles")
         };
-        println!(
+        outln!(
             "  {}: availability {:.4}, recovery {latency}, worst outage {} cycles, \
              {} restores, static misses {}",
             card.label,
@@ -1078,7 +1083,7 @@ fn run_chaos(args: &[String]) {
             card.static_deadlines.1,
         );
         for check in &card.checks {
-            println!(
+            outln!(
                 "    [{}] {}",
                 if check.pass { "PASS" } else { "FAIL" },
                 check.name
@@ -1099,7 +1104,7 @@ fn run_chaos(args: &[String]) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
-        println!("  wrote {path}");
+        outln!("  wrote {path}");
     }
 
     let mut failed = false;
@@ -1175,7 +1180,7 @@ fn run_figures(args: &[String]) {
                 .collect::<Vec<_>>(),
         );
         if json {
-            println!("{}", running_time_json(&rows));
+            outln!("{}", running_time_json(&rows));
         }
     }
 
@@ -1204,7 +1209,7 @@ fn run_figures(args: &[String]) {
                 .collect::<Vec<_>>(),
         );
         if json {
-            println!("{}", running_time_json(&rows));
+            outln!("{}", running_time_json(&rows));
         }
     }
 
@@ -1232,7 +1237,7 @@ fn run_figures(args: &[String]) {
                     ("utilization_pct", Json::from(r.utilization_pct)),
                 ])
             }));
-            println!("{doc}");
+            outln!("{doc}");
         }
     }
 
@@ -1290,7 +1295,7 @@ fn run_figures(args: &[String]) {
                     ("mean_latency_ms", Json::from(r.mean_latency_ms)),
                 ])
             }));
-            println!("{doc}");
+            outln!("{doc}");
         }
     }
 
@@ -1318,7 +1323,7 @@ fn run_figures(args: &[String]) {
                     ("evidence", Json::str(v.evidence.clone())),
                 ])
             }));
-            println!("{doc}");
+            outln!("{doc}");
         }
         if verdicts.iter().any(|v| !v.pass) {
             std::process::exit(1);
@@ -1362,7 +1367,7 @@ fn run_figures(args: &[String]) {
                     ("miss_pct", Json::from(r.miss_pct)),
                 ])
             }));
-            println!("{doc}");
+            outln!("{doc}");
         }
     }
 
@@ -1394,7 +1399,7 @@ fn run_figures(args: &[String]) {
                     ("miss_pct", Json::from(r.miss_pct)),
                 ])
             }));
-            println!("{doc}");
+            outln!("{doc}");
         }
     }
 
@@ -1424,7 +1429,7 @@ fn run_figures(args: &[String]) {
                     ("miss_pct", Json::from(r.miss_pct)),
                 ])
             }));
-            println!("{doc}");
+            outln!("{doc}");
         }
     }
 }

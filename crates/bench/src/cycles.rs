@@ -493,16 +493,17 @@ mod tests {
     #[test]
     fn comparison_normalizes_away_host_speed() {
         let report = measure_cycles(&tiny_spec()).unwrap();
-        // A baseline recorded on a host twice as fast: every wall halves,
-        // including each slice's paired calibration pass, so `wall_per_cal`
-        // is unchanged. Normalized throughput is identical and the gate
-        // must not fire.
-        let mut fast_host = report.clone();
-        fast_host.calibration /= 2;
-        for p in &mut fast_host.policies {
-            p.wall /= 2;
+        // The baseline was recorded on a host twice as fast as the current
+        // one: every current wall doubles, including each slice's paired
+        // calibration pass, so `wall_per_cal` is unchanged. Normalized
+        // throughput is identical and the gate must not fire. (Doubling
+        // a `Duration` is exact; halving would truncate odd nanoseconds.)
+        let mut slow_host = report.clone();
+        slow_host.calibration *= 2;
+        for p in &mut slow_host.policies {
+            p.wall *= 2;
         }
-        let cmp = compare_to_baseline(&report, &fast_host, CYCLES_TOLERANCE).unwrap();
+        let cmp = compare_to_baseline(&slow_host, &report, CYCLES_TOLERANCE).unwrap();
         for c in &cmp {
             assert!(
                 !c.regressed,
@@ -515,8 +516,7 @@ mod tests {
                 c.policy,
                 c.ratio
             );
-            // Raw numbers still show the host difference for display
-            // (Duration halving truncates to whole nanoseconds).
+            // Raw numbers still show the host difference for display.
             assert!((c.baseline_cps / c.current_cps - 2.0).abs() < 1e-6);
         }
         // A genuine regression — the sim slowed down but the host did not

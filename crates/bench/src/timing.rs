@@ -66,13 +66,13 @@ pub fn bench<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> Timing {
         min,
         max,
     };
-    println!(
+    crate::outln!(
         "{label}: mean {:.2} ms (min {:.2}, max {:.2}, {iters} iters)",
         timing.mean.as_secs_f64() * 1e3,
         timing.min.as_secs_f64() * 1e3,
         timing.max.as_secs_f64() * 1e3,
     );
-    println!("{}", timing.to_json());
+    crate::outln!("{}", timing.to_json());
     timing
 }
 

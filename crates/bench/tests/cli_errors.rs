@@ -10,8 +10,9 @@ use bench_harness::experiments::SEED;
 use bench_harness::golden::{corpus_to_json, record_corpus};
 use bench_harness::sweep::SweepSpec;
 use coefficient::Scenario;
+use std::io::{BufRead, BufReader};
 use std::num::NonZeroUsize;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -279,8 +280,9 @@ fn every_registered_name_is_accepted_by_the_sweep_cli() {
 
 /// Count flags whose zero value used to panic (`--threads`,
 /// `--hypercycles`) or to report an empty run as success (`--seeds`,
-/// `--horizon-cycles`), each with the arguments of a cheap run.
-const ZERO_REFUSED: [(&str, &[&str]); 4] = [
+/// `--horizon-cycles`, `--horizon-ms`), each with the arguments of a
+/// cheap run.
+const ZERO_REFUSED: [(&str, &[&str]); 6] = [
     (
         "--threads",
         &[
@@ -302,6 +304,11 @@ const ZERO_REFUSED: [(&str, &[&str]); 4] = [
         &["sweep", "--horizon-ms", "8", "--scenario", "ber7"],
     ),
     ("--horizon-cycles", &["chaos", "--policy", "coefficient"]),
+    (
+        "--horizon-ms",
+        &["sweep", "--seeds", "1", "--scenario", "ber7"],
+    ),
+    ("--horizon-ms", &["fleet", "--vehicles", "4"]),
 ];
 
 #[test]
@@ -322,6 +329,19 @@ fn zero_counts_are_refused_with_the_valid_range() {
 }
 
 #[test]
+fn storm_smoke_refuses_a_zero_horizon() {
+    // No happy-path twin: a 1 ms storm is too short for the storm claims,
+    // so `storm-smoke --horizon-ms 1` rightly reports FAIL.
+    let out = experiments(&["storm-smoke", "--horizon-ms", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("invalid value for --horizon-ms: 0 (valid range: 1 or more)"),
+        "diagnostic does not name the valid range: {stderr}"
+    );
+}
+
+#[test]
 fn the_smallest_valid_counts_are_accepted() {
     // Happy-path twins of the refusals above: 1 is in range and runs.
     for (flag, base) in ZERO_REFUSED {
@@ -330,5 +350,47 @@ fn the_smallest_valid_counts_are_accepted() {
         let out = experiments(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{args:?} rejected: {stderr}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_pipe_is_a_clean_exit() {
+    // `experiments ARGS | head -n 1`: the reader takes one line and closes
+    // the pipe while the binary still has output to write. The sweep
+    // report is far larger than a pipe buffer; trace-overhead prints
+    // through the timing helper, and its traced pass writes long after
+    // the reader has gone.
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "sweep",
+                "--seeds",
+                "40",
+                "--horizon-ms",
+                "1",
+                "--json",
+                "--pretty",
+            ],
+            "{",
+        ),
+        (&["trace-overhead"], "trace-overhead/untraced:"),
+    ];
+    for (args, first_line) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("first line reads");
+        // The reader dropped here closes the pipe.
+        assert!(first.starts_with(first_line), "{args:?}: {first}");
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     }
 }

@@ -191,20 +191,23 @@ impl StaticAllocation {
         used as f64 / per_channel as f64
     }
 
+    /// The cycles of the pattern `(base, rep)`: `base, base + rep, …`
+    /// below 64, i.e. every cycle `c` with `c % rep == base`.
+    fn pattern_cycles(base: u8, rep: u8) -> impl Iterator<Item = u8> {
+        debug_assert!(base < rep, "base {base} outside repetition {rep}");
+        (base..CYCLES as u8).step_by(usize::from(rep))
+    }
+
     /// Checks a candidate `(slot, base, rep)` pattern for freeness.
     fn pattern_free(&self, channel: ChannelId, slot: u16, base: u8, rep: u8) -> bool {
-        (0..CYCLES as u16)
-            .filter(|c| c % u16::from(rep) == u16::from(base))
-            .all(|c| self.is_free(channel, slot, c as u8))
+        Self::pattern_cycles(base, rep).all(|c| self.is_free(channel, slot, c))
     }
 
     fn occupy_pattern(&mut self, pos: SlotPosition, occ: Occupant) {
-        for c in 0..CYCLES as u16 {
-            if c % u16::from(pos.repetition) == u16::from(pos.base_cycle) {
-                let i = self.index(pos.channel, pos.slot, c as u8);
-                debug_assert!(self.matrix[i].is_none(), "double allocation");
-                self.matrix[i] = Some(occ);
-            }
+        for c in Self::pattern_cycles(pos.base_cycle, pos.repetition) {
+            let i = self.index(pos.channel, pos.slot, c);
+            debug_assert!(self.matrix[i].is_none(), "double allocation");
+            self.matrix[i] = Some(occ);
         }
     }
 
@@ -555,6 +558,53 @@ mod tests {
         let a = StaticAllocation::build(&cfg, &FrameCoding::default(), &msgs, &[], false).unwrap();
         let expected = 0.5 / cfg.static_slot_count() as f64;
         assert!((a.occupancy(ChannelId::A) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stride_pattern_free_matches_the_modulo_filter() {
+        use rand::Rng;
+        let cfg = config();
+        let msgs = vec![sig(1, 1, 100)];
+        let mut a =
+            StaticAllocation::build(&cfg, &FrameCoding::default(), &msgs, &[], false).unwrap();
+        // Occupy random positions at a per-slot density, so that both
+        // answers occur for every repetition.
+        const DENSITY: [f64; 4] = [0.0, 0.02, 0.1, 0.3];
+        let mut rng = event_sim::rng::substream(7, "stride-pattern-free");
+        let slots = usize::from(a.slots);
+        for (i, o) in a.matrix.iter_mut().enumerate() {
+            if rng.gen_bool(DENSITY[(i / CYCLES) % slots % DENSITY.len()]) {
+                *o = Some(Occupant {
+                    message: 1,
+                    kind: OccupantKind::Copy,
+                });
+            }
+        }
+        let mut answers = [[0u32; 2]; 7];
+        for channel in [ChannelId::A, ChannelId::B] {
+            for slot in 1..=a.slot_count() {
+                for rep in (0..=6).map(|e| 1u8 << e) {
+                    for base in 0..rep {
+                        let modulo = (0..CYCLES as u16)
+                            .filter(|c| c % u16::from(rep) == u16::from(base))
+                            .all(|c| a.is_free(channel, slot, c as u8));
+                        assert_eq!(
+                            a.pattern_free(channel, slot, base, rep),
+                            modulo,
+                            "{channel:?} slot {slot} base {base} rep {rep}"
+                        );
+                        answers[rep.trailing_zeros() as usize][usize::from(modulo)] += 1;
+                    }
+                }
+            }
+        }
+        for (e, [busy, free]) in answers.iter().enumerate() {
+            assert!(
+                *busy > 0 && *free > 0,
+                "rep {}: {busy} busy, {free} free",
+                1 << e
+            );
+        }
     }
 
     #[test]

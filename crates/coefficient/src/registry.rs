@@ -135,6 +135,11 @@ impl PartialEq for dyn Policy + Send + Sync {
 
 impl Eq for dyn Policy + Send + Sync {}
 
+/// The same copy count `k` for every message the planner covers.
+fn uniform_counts(planner: &RetransmissionPlanner, k: u32) -> Vec<(MessageId, u32)> {
+    planner.messages().iter().map(|m| (m.id, k)).collect()
+}
+
 /// The paper's differentiated Theorem-1 plan: per-message `k_z` copy
 /// counts for the goal, falling back to the uniform cap if the goal is
 /// unreachable.
@@ -142,14 +147,15 @@ fn differentiated_plan(planner: &RetransmissionPlanner, goal: f64) -> Vec<(Messa
     if goal <= 0.0 {
         return Vec::new();
     }
-    let plan = planner
-        .plan_for_goal(goal)
-        .unwrap_or_else(|_| planner.uniform(FSPEC_MAX_UNIFORM_K));
-    plan.messages()
-        .iter()
-        .zip(plan.retransmission_counts())
-        .map(|(m, &k)| (m.id, k))
-        .collect()
+    match planner.plan_for_goal(goal) {
+        Ok(plan) => plan
+            .messages()
+            .iter()
+            .zip(plan.retransmission_counts())
+            .map(|(m, &k)| (m.id, k))
+            .collect(),
+        Err(_) => uniform_counts(planner, FSPEC_MAX_UNIFORM_K),
+    }
 }
 
 /// Uniform best effort: the smallest `k` meeting the goal, applied to
@@ -159,15 +165,10 @@ fn uniform_best_effort_plan(planner: &RetransmissionPlanner, goal: f64) -> Vec<(
         0
     } else {
         (0..=FSPEC_MAX_UNIFORM_K)
-            .find(|&k| planner.uniform(k).success_probability() >= goal)
+            .find(|&k| planner.uniform_success_probability(k) >= goal)
             .unwrap_or(FSPEC_MAX_UNIFORM_K)
     };
-    planner
-        .uniform(k)
-        .messages()
-        .iter()
-        .map(|m| (m.id, k))
-        .collect()
+    uniform_counts(planner, k)
 }
 
 /// The paper's contribution: cooperative dual-channel scheduling with
@@ -285,12 +286,7 @@ impl Policy for HosaPolicy {
     fn plan_copies(&self, planner: &RetransmissionPlanner, _goal: f64) -> Vec<(MessageId, u32)> {
         // HOSA's redundancy is fixed: exactly one extra copy of every
         // message via the second channel.
-        planner
-            .uniform(1)
-            .messages()
-            .iter()
-            .map(|m| (m.id, 1))
-            .collect()
+        uniform_counts(planner, 1)
     }
     fn summary(&self) -> &'static str {
         "dual-channel redundancy only: static B-mirror plus one extra dynamic \

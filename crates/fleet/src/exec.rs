@@ -77,49 +77,54 @@ pub fn run_with_progress(spec: &FleetSpec, threads: usize, progress: &Progress) 
     let next_shard = AtomicUsize::new(0);
     let shard_count = spec.shard_count();
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // One reusable shard-local aggregate per worker: fixed
-                // footprint, cleared between shards.
-                let mut local = FleetAggregate::new(&spec.policies);
-                loop {
-                    let shard = next_shard.fetch_add(1, Ordering::Relaxed) as u64;
-                    if shard >= shard_count {
-                        break;
-                    }
-                    let mut completed = 0u64;
-                    let mut unschedulable = 0u64;
-                    for v in spec.shard_range(shard) {
-                        for (p, &policy) in spec.policies.iter().enumerate() {
-                            match Runner::new(spec.vehicle_config(v, policy)) {
-                                Ok(runner) => {
-                                    let report = runner.run();
-                                    let condition = spec.vehicle_draw(v).condition;
-                                    local.record(p, v, condition, &report);
-                                }
-                                Err(_) => {
-                                    local.record_unschedulable(p, v);
-                                    unschedulable += 1;
-                                }
-                            }
+    // One worker's loop: claim shards until none are left.
+    let work = || {
+        // One reusable shard-local aggregate per worker: fixed
+        // footprint, cleared between shards.
+        let mut local = FleetAggregate::new(&spec.policies);
+        loop {
+            let shard = next_shard.fetch_add(1, Ordering::Relaxed) as u64;
+            if shard >= shard_count {
+                break;
+            }
+            let mut completed = 0u64;
+            let mut unschedulable = 0u64;
+            for v in spec.shard_range(shard) {
+                for (p, &policy) in spec.policies.iter().enumerate() {
+                    match Runner::new(spec.vehicle_config(v, policy)) {
+                        Ok(runner) => {
+                            let report = runner.run();
+                            let condition = spec.vehicle_draw(v).condition;
+                            local.record(p, v, condition, &report);
                         }
-                        completed += 1;
+                        Err(_) => {
+                            local.record_unschedulable(p, v);
+                            unschedulable += 1;
+                        }
                     }
-                    progress
-                        .partial
-                        .lock()
-                        .expect("aggregate lock poisoned")
-                        .merge(&local);
-                    local.clear();
-                    progress.completed.fetch_add(completed, Ordering::Relaxed);
-                    progress
-                        .unschedulable
-                        .fetch_add(unschedulable, Ordering::Relaxed);
-                    progress.shards_done.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+                completed += 1;
+            }
+            progress
+                .partial
+                .lock()
+                .expect("aggregate lock poisoned")
+                .merge(&local);
+            local.clear();
+            progress.completed.fetch_add(completed, Ordering::Relaxed);
+            progress
+                .unschedulable
+                .fetch_add(unschedulable, Ordering::Relaxed);
+            progress.shards_done.fetch_add(1, Ordering::Relaxed);
         }
+    };
+    // The calling thread is one of the workers, so a single worker
+    // spawns nothing.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 
     let aggregate = progress

@@ -7,6 +7,8 @@
 //! retransmitting every frame best-effort, only the frames whose failure
 //! probability actually threatens the goal receive budget.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use event_sim::SimDuration;
@@ -109,9 +111,9 @@ impl RetransmissionPlan {
 /// * [`plan_for_goal`](Self::plan_for_goal) — the paper's differentiated
 ///   scheme: greedy marginal-gain ascent in the log domain until the goal is
 ///   met;
-/// * [`uniform`](Self::uniform) — the best-effort baseline: the same `k`
-///   for every message (FSPEC's retransmit-everything corresponds to
-///   `uniform(1)` and above).
+/// * [`uniform_success_probability`](Self::uniform_success_probability) —
+///   the best-effort baseline: the same `k` for every message (FSPEC's
+///   retransmit-everything corresponds to `k = 1` and above).
 #[derive(Debug, Clone)]
 pub struct RetransmissionPlanner {
     msgs: Vec<MessageReliability>,
@@ -142,29 +144,52 @@ impl RetransmissionPlanner {
         self
     }
 
-    /// Builds the plan that assigns the same count `k` to every message
-    /// (the best-effort baseline).
-    pub fn uniform(&self, k: u32) -> RetransmissionPlan {
-        let ks = vec![k; self.msgs.len()];
-        let log_success = self.log_success(&ks);
-        RetransmissionPlan {
-            msgs: self.msgs.clone(),
-            ks,
-            unit: self.unit,
-            log_success,
-        }
+    /// The messages the planner covers.
+    pub fn messages(&self) -> &[MessageReliability] {
+        &self.msgs
     }
 
-    fn log_success(&self, ks: &[u32]) -> f64 {
+    /// Theorem-1 success probability when every message gets the same
+    /// count `k`.
+    pub fn uniform_success_probability(&self, k: u32) -> f64 {
         self.msgs
             .iter()
-            .zip(ks)
-            .map(|(m, &k)| message_success_log(m, k, self.unit))
-            .sum()
+            .map(|m| message_success_log(m, k, self.unit))
+            .sum::<f64>()
+            .exp()
+    }
+
+    /// The next greedy step for message `i` currently at `k` retransmissions
+    /// with log contribution `contrib`, or `None` if the message is capped,
+    /// fault-free, or gains nothing from another copy.
+    ///
+    /// Gain: Δ = (u/T_z)·[ln(1−p^{k+2}) − ln(1−p^{k+1})]; cost: W_z
+    /// instances-per-unit bits; score: gain per bandwidth bit.
+    fn candidate(&self, i: usize, k: u32, contrib: f64) -> Option<Candidate> {
+        let m = &self.msgs[i];
+        if k >= self.max_k || m.failure_probability == 0.0 {
+            return None;
+        }
+        let new_contrib = message_success_log(m, k + 1, self.unit);
+        let gain = new_contrib - contrib;
+        if gain <= 0.0 {
+            return None;
+        }
+        let cost = (u64::from(m.size_bits) * m.instances_per_unit(self.unit)).max(1) as f64;
+        Some(Candidate {
+            score: gain / cost,
+            index: i,
+            new_contrib,
+        })
     }
 
     /// Computes the differentiated plan: the cheapest set of `k_z` (greedy
     /// in marginal log-gain per bit of bandwidth) that reaches `goal`.
+    ///
+    /// Each step takes the increment with the best score, the lowest
+    /// message index winning a tie. A message's score only changes when
+    /// that message is chosen, so the candidates live in a max-heap and
+    /// only the chosen message is re-scored: O(n + steps · log n).
     ///
     /// # Errors
     /// * [`PlanError::InvalidGoal`] if `goal` is not in `(0, 1]`;
@@ -184,35 +209,29 @@ impl RetransmissionPlanner {
             .collect();
         let mut total: f64 = contrib.iter().sum();
 
-        while total < target_log {
-            // Pick the increment with the best marginal gain per bandwidth
-            // bit. Gain: Δ = (u/T_z)·[ln(1−p^{k+2}) − ln(1−p^{k+1})];
-            // cost: W_z instances-per-unit bits.
-            let mut best: Option<(usize, f64, f64)> = None; // (idx, new_contrib, score)
-            for (i, m) in self.msgs.iter().enumerate() {
-                if ks[i] >= self.max_k || m.failure_probability == 0.0 {
-                    continue;
-                }
-                let new_contrib = message_success_log(m, ks[i] + 1, self.unit);
-                let gain = new_contrib - contrib[i];
-                if gain <= 0.0 {
-                    continue;
-                }
-                let cost = (u64::from(m.size_bits) * m.instances_per_unit(self.unit)).max(1) as f64;
-                let score = gain / cost;
-                if best.is_none_or(|(_, _, s)| score > s) {
-                    best = Some((i, new_contrib, score));
-                }
+        if total < target_log {
+            let mut heap: BinaryHeap<Candidate> = contrib
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &c)| self.candidate(i, 0, c))
+                .collect();
+            while total < target_log {
+                let Some(Candidate {
+                    index: i,
+                    new_contrib,
+                    ..
+                }) = heap.pop()
+                else {
+                    return Err(PlanError::Unreachable {
+                        best: total.exp(),
+                        goal,
+                    });
+                };
+                total += new_contrib - contrib[i];
+                contrib[i] = new_contrib;
+                ks[i] += 1;
+                heap.extend(self.candidate(i, ks[i], new_contrib));
             }
-            let Some((i, new_contrib, _)) = best else {
-                return Err(PlanError::Unreachable {
-                    best: total.exp(),
-                    goal,
-                });
-            };
-            total += new_contrib - contrib[i];
-            contrib[i] = new_contrib;
-            ks[i] += 1;
         }
 
         Ok(RetransmissionPlan {
@@ -223,6 +242,38 @@ impl RetransmissionPlanner {
         })
     }
 }
+
+/// One message's next increment in [`RetransmissionPlanner::plan_for_goal`].
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    score: f64,
+    index: usize,
+    new_contrib: f64,
+}
+
+/// Heap order: the higher score first; between equal scores, the lower
+/// message index first.
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then_with(|| other.index.cmp(&self.index))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
 
 #[cfg(test)]
 mod tests {
@@ -268,11 +319,15 @@ mod tests {
         let goal = 0.999_999;
         let diff = planner.plan_for_goal(goal).unwrap();
         // Find the smallest uniform k that meets the same goal.
-        let uniform = (0..=16)
-            .map(|k| planner.uniform(k))
-            .find(|p| p.success_probability() >= goal)
+        let k = (0..=16)
+            .find(|&k| planner.uniform_success_probability(k) >= goal)
             .expect("uniform plan exists");
-        assert!(diff.bandwidth_cost_bits() <= uniform.bandwidth_cost_bits());
+        let uniform_cost: u64 = planner
+            .messages()
+            .iter()
+            .map(|m| u64::from(k) * u64::from(m.size_bits) * m.instances_per_unit(SEC))
+            .sum();
+        assert!(diff.bandwidth_cost_bits() <= uniform_cost);
     }
 
     #[test]
@@ -363,17 +418,24 @@ mod tests {
     }
 
     #[test]
-    fn uniform_plan_counts() {
-        let planner = RetransmissionPlanner::new(msgs_with_ber(1e-7)).unit(SEC);
-        let plan = planner.uniform(2);
-        assert!(plan.retransmission_counts().iter().all(|&k| k == 2));
-        assert_eq!(plan.retransmitted_messages().count(), 4);
+    fn uniform_success_probability_is_theorem_1() {
+        let msgs = msgs_with_ber(1e-4);
+        let planner = RetransmissionPlanner::new(msgs.clone()).unit(SEC);
+        for k in 0..4 {
+            let ks = vec![k; msgs.len()];
+            assert_eq!(
+                planner.uniform_success_probability(k).to_bits(),
+                crate::success_probability(&msgs, &ks, SEC).to_bits()
+            );
+        }
+        assert!(planner.uniform_success_probability(2) > planner.uniform_success_probability(0));
+        assert_eq!(planner.messages(), msgs.as_slice());
     }
 
     #[test]
     fn count_for_unknown_id_is_none() {
-        let planner = RetransmissionPlanner::new(msgs_with_ber(1e-7));
-        let plan = planner.uniform(0);
+        let planner = RetransmissionPlanner::new(msgs_with_ber(1e-9)).unit(SEC);
+        let plan = planner.plan_for_goal(0.5).unwrap();
         assert_eq!(plan.count_for(999), None);
         assert_eq!(plan.count_for(1), Some(0));
     }
