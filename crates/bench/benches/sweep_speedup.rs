@@ -61,7 +61,7 @@ fn main() {
     // single-core machine — or in the deliberately tiny smoke matrix —
     // only the determinism contract above is load-bearing.
     if report.speedup < 1.0 && !smoke {
-        if default_threads() >= 2 {
+        if default_threads().get() >= 2 {
             eprintln!("FAIL: parallel sweep slower than serial on a multi-core machine");
             std::process::exit(1);
         }

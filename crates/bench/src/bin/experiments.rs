@@ -1014,7 +1014,8 @@ fn run_chaos(args: &[String]) {
     let seed = parse_number(args, "--seed").unwrap_or(chaos::CHAOS_SEED);
     let horizon_cycles =
         parse_count(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
-    let threads = parse_count(args, "--threads").unwrap_or(1);
+    let threads = NonZeroUsize::new(parse_count(args, "--threads").unwrap_or(1))
+        .expect("parse_count refuses 0");
     let mut contract = ChaosContract::default();
     if let Some(v) = parse_number(args, "--recovery-budget") {
         contract.recovery_budget_cycles = v;

@@ -18,6 +18,8 @@
 //! wall-clock times and thread counts, so the bytes are identical at any
 //! parallelism (CI diffs a 1-thread run against an 8-thread run).
 
+use std::num::NonZeroUsize;
+
 use coefficient::sweep::run_parallel;
 use coefficient::{
     CampaignSpec, CampaignTarget, ChaosObservation, PolicyRef, RunConfig, RunCounters, RunReport,
@@ -294,7 +296,7 @@ pub fn run_campaign(
     policies: &[PolicyRef],
     horizon_cycles: u64,
     seed: u64,
-    threads: usize,
+    threads: NonZeroUsize,
     contract: ChaosContract,
 ) -> Result<Vec<ChaosScorecard>, SchedulerError> {
     let configs = chaos_configs(scenario, policies, horizon_cycles, seed);
@@ -470,7 +472,7 @@ mod tests {
             &[COEFFICIENT],
             DEFAULT_HORIZON_CYCLES,
             CHAOS_SEED,
-            1,
+            NonZeroUsize::MIN,
             ChaosContract::default(),
         )
         .expect("schedulable");
@@ -493,7 +495,7 @@ mod tests {
         let scenario = chaos_scenario(Scenario::ber7(), DEFAULT_CAMPAIGN, spec);
         let contract = ChaosContract::default();
         let policies = [COEFFICIENT, GREEDY];
-        let render = |threads: usize| {
+        let render = |threads: NonZeroUsize| {
             let cards = run_campaign(
                 &scenario,
                 &policies,
@@ -513,7 +515,10 @@ mod tests {
             )
             .to_string()
         };
-        assert_eq!(render(1), render(4));
+        assert_eq!(
+            render(NonZeroUsize::MIN),
+            render(NonZeroUsize::new(4).unwrap())
+        );
     }
 
     #[test]

@@ -342,7 +342,7 @@ pub fn speedup_benchmark_spec() -> SweepSpec {
 /// Worker-thread count of the acceptance benchmark (≤ 4, so the claimed
 /// speedup is what a 4-core machine reproduces).
 pub fn speedup_benchmark_threads() -> NonZeroUsize {
-    NonZeroUsize::new(default_threads().clamp(2, 4)).expect("clamped to 2..=4")
+    NonZeroUsize::new(default_threads().get().clamp(2, 4)).expect("clamped to 2..=4")
 }
 
 #[cfg(test)]

@@ -37,11 +37,15 @@ pub enum OccupantKind {
     Copy,
 }
 
-/// One occupied position in the allocation matrix.
+/// One occupied position in the allocation matrix. It is 8 bytes, and so
+/// is a matrix entry (`Option<Occupant>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupant {
     /// The message transmitted here.
     pub message: MessageId,
+    /// The message's position in the `messages` slice the allocation was
+    /// built from — the dense index the scheduler's tables use.
+    pub index: u16,
     /// Primary, mirror or stolen copy.
     pub kind: OccupantKind,
 }
@@ -85,6 +89,16 @@ pub enum AllocationError {
         /// The message that could not be placed.
         message: MessageId,
     },
+    /// Two messages share an id.
+    DuplicateMessage {
+        /// The repeated id.
+        message: MessageId,
+    },
+    /// More messages than an occupant's 16-bit `index` can address.
+    TooManyMessages {
+        /// The number of messages given.
+        count: usize,
+    },
 }
 
 impl fmt::Display for AllocationError {
@@ -104,18 +118,49 @@ impl fmt::Display for AllocationError {
                     "message {message}: no free static slot pattern available"
                 )
             }
+            AllocationError::DuplicateMessage { message } => {
+                write!(f, "message id {message} occurs more than once")
+            }
+            AllocationError::TooManyMessages { count } => write!(
+                f,
+                "{count} static messages exceed the {MAX_MESSAGES} an allocation can index"
+            ),
         }
     }
 }
 
 impl std::error::Error for AllocationError {}
 
+/// The most messages an allocation indexes ([`Occupant::index`] is 16
+/// bits wide).
+const MAX_MESSAGES: usize = u16::MAX as usize;
+
+/// `(id, input index)` pairs sorted by id: the table behind every id →
+/// dense index translation. `Err` carries the smallest repeated id.
+pub(crate) fn index_table<K: Ord + Copy>(ids: impl Iterator<Item = K>) -> Result<Vec<(K, u32)>, K> {
+    let mut table: Vec<(K, u32)> = ids.zip(0..).collect();
+    table.sort_unstable();
+    match table.windows(2).find(|w| w[0].0 == w[1].0) {
+        Some(w) => Err(w[0].0),
+        None => Ok(table),
+    }
+}
+
+/// The input index of `id` in a table built by [`index_table`].
+pub(crate) fn index_in<K: Ord + Copy>(table: &[(K, u32)], id: K) -> Option<usize> {
+    let i = table.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+    Some(table[i].1 as usize)
+}
+
 /// The populated allocation matrix.
 pub struct StaticAllocation {
     slots: u16,
     /// `matrix[channel][slot-1][cycle]`.
     matrix: Vec<Option<Occupant>>,
-    primaries: Vec<(MessageId, SlotPosition)>,
+    /// Primary positions in input order.
+    primaries: Vec<SlotPosition>,
+    /// `(message id, input index)`, sorted by id.
+    ids: Vec<(MessageId, u32)>,
     copies: Vec<CopyPlacement>,
     /// Copies that found no static slack: `(message, count per instance)`.
     spill: Vec<(MessageId, u32)>,
@@ -154,10 +199,26 @@ impl StaticAllocation {
 
     /// Primary position of `message`.
     pub fn primary_of(&self, message: MessageId) -> Option<SlotPosition> {
-        self.primaries
-            .iter()
-            .find(|(m, _)| *m == message)
-            .map(|(_, p)| *p)
+        self.index_of(message).map(|i| self.primaries[i])
+    }
+
+    /// Primary positions of every message, in the order of the
+    /// `messages` slice the allocation was built from.
+    pub(crate) fn primaries(&self) -> &[SlotPosition] {
+        &self.primaries
+    }
+
+    /// The position of `message` in the `messages` slice the allocation
+    /// was built from (its dense index), if it is one of them.
+    pub(crate) fn index_of(&self, message: MessageId) -> Option<usize> {
+        index_in(&self.ids, message)
+    }
+
+    /// Every message's dense index, in ascending id order (the scan
+    /// oracle's walk).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn indices_by_id(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ids.iter().map(|&(_, i)| i as usize)
     }
 
     /// All stolen-slack copy placements.
@@ -226,8 +287,8 @@ impl StaticAllocation {
     /// default CoEfficient behaviour). See [`Self::build_with_channels`].
     ///
     /// # Errors
-    /// [`AllocationError`] if a frame exceeds the slot capacity or no
-    /// primary pattern fits.
+    /// [`AllocationError`] if a frame exceeds the slot capacity, no
+    /// primary pattern fits, or the message ids are not unique.
     pub fn build(
         config: &ClusterConfig,
         coding: &FrameCoding,
@@ -248,8 +309,8 @@ impl StaticAllocation {
     ///   (disabled by the single-channel ablation).
     ///
     /// # Errors
-    /// [`AllocationError`] if a frame exceeds the slot capacity or no
-    /// primary pattern fits.
+    /// [`AllocationError`] if a frame exceeds the slot capacity, no
+    /// primary pattern fits, or the message ids are not unique.
     pub fn build_with_channels(
         config: &ClusterConfig,
         coding: &FrameCoding,
@@ -258,12 +319,20 @@ impl StaticAllocation {
         mirror_on_b: bool,
         copies_on_b: bool,
     ) -> Result<Self, AllocationError> {
+        if messages.len() > MAX_MESSAGES {
+            return Err(AllocationError::TooManyMessages {
+                count: messages.len(),
+            });
+        }
+        let ids = index_table(messages.iter().map(|m| m.id))
+            .map_err(|message| AllocationError::DuplicateMessage { message })?;
         let slots = config.static_slot_count() as u16;
         let capacity = config.static_slot_capacity_bits();
         let mut alloc = StaticAllocation {
             slots,
             matrix: vec![None; 2 * usize::from(slots) * CYCLES],
-            primaries: Vec::with_capacity(messages.len()),
+            primaries: Vec::new(),
+            ids,
             copies: Vec::new(),
             spill: Vec::new(),
         };
@@ -283,15 +352,16 @@ impl StaticAllocation {
 
         // Primary placement: tightest repetition first (they are the
         // hardest to fit), then by deadline, then id for determinism.
-        let mut order: Vec<&Signal> = messages.iter().collect();
-        order.sort_by_key(|m| {
+        let mut order: Vec<(&Signal, u16)> = messages.iter().zip(0..).collect();
+        order.sort_by_key(|(m, _)| {
             (
                 StaticAllocation::repetition_for(config, m.period),
                 m.deadline,
                 m.id,
             )
         });
-        for m in &order {
+        let mut primaries = vec![None; messages.len()];
+        for &(m, index) in &order {
             let rep = StaticAllocation::repetition_for(config, m.period);
             let mut placed = false;
             'search: for slot in 1..=slots {
@@ -309,6 +379,7 @@ impl StaticAllocation {
                             pos,
                             Occupant {
                                 message: m.id,
+                                index,
                                 kind: OccupantKind::Primary,
                             },
                         );
@@ -320,11 +391,12 @@ impl StaticAllocation {
                                 },
                                 Occupant {
                                     message: m.id,
+                                    index,
                                     kind: OccupantKind::Mirror,
                                 },
                             );
                         }
-                        alloc.primaries.push((m.id, pos));
+                        primaries[usize::from(index)] = Some(pos);
                         placed = true;
                         break 'search;
                     }
@@ -334,6 +406,8 @@ impl StaticAllocation {
                 return Err(AllocationError::NoSlotAvailable { message: m.id });
             }
         }
+        // Every message is placed by now, so no entry is `None`.
+        alloc.primaries = primaries.into_iter().flatten().collect();
 
         // Copy placement: steal slack near the primary, cheapest added
         // latency first.
@@ -341,9 +415,11 @@ impl StaticAllocation {
             if k == 0 {
                 continue;
             }
-            let Some(primary) = alloc.primary_of(message) else {
+            let Some(index) = alloc.index_of(message) else {
                 continue; // dynamic messages spill entirely
             };
+            let primary = alloc.primaries[index];
+            let index = u16::try_from(index).expect("at most MAX_MESSAGES messages");
             let mut remaining = k;
             // Candidate order: same slot on B (Δlatency 0), later slots of
             // the same cycle (A then B), then subsequent cycles.
@@ -372,6 +448,7 @@ impl StaticAllocation {
                                 pos,
                                 Occupant {
                                     message,
+                                    index,
                                     kind: OccupantKind::Copy,
                                 },
                             );
@@ -394,7 +471,7 @@ impl StaticAllocation {
         // Dynamic-message copies (ids without a primary) spill by
         // definition; record them so the runtime enqueues extras.
         for &(message, k) in copy_counts {
-            if k > 0 && alloc.primary_of(message).is_none() {
+            if k > 0 && alloc.index_of(message).is_none() {
                 alloc.spill.push((message, k));
             }
         }
@@ -576,6 +653,7 @@ mod tests {
             if rng.gen_bool(DENSITY[(i / CYCLES) % slots % DENSITY.len()]) {
                 *o = Some(Occupant {
                     message: 1,
+                    index: 0,
                     kind: OccupantKind::Copy,
                 });
             }
@@ -605,6 +683,102 @@ mod tests {
                 1 << e
             );
         }
+    }
+
+    #[test]
+    fn a_matrix_entry_stays_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Occupant>>(), 8);
+    }
+
+    #[test]
+    fn repeated_ids_are_refused() {
+        let msgs = vec![sig(3, 1, 100), sig(7, 2, 100), sig(3, 4, 100)];
+        let err = StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], false)
+            .unwrap_err();
+        assert_eq!(err, AllocationError::DuplicateMessage { message: 3 });
+    }
+
+    #[test]
+    fn more_messages_than_the_index_holds_are_refused() {
+        let msgs: Vec<Signal> = (0..=MAX_MESSAGES as u32).map(|i| sig(i, 100, 8)).collect();
+        let err = StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], false)
+            .unwrap_err();
+        assert_eq!(err, AllocationError::TooManyMessages { count: 65_536 });
+    }
+
+    #[test]
+    fn indexed_primary_of_matches_the_linear_find() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        const PERIODS_MS: [u64; 8] = [1, 2, 3, 4, 8, 20, 50, 100];
+        let cfg = ClusterConfig::paper_mixed(50);
+        let mut rng = event_sim::rng::substream(11, "indexed-primary-of");
+        let mut built = 0;
+        for _ in 0..200 {
+            let n = rng.gen_range(1..48);
+            let mut ids: Vec<u32> = (1..200).collect();
+            for i in 0..n + 4 {
+                let j = rng.gen_range(i..ids.len());
+                ids.swap(i, j);
+            }
+            let msgs: Vec<Signal> = ids[..n]
+                .iter()
+                .map(|&id| {
+                    let period = *PERIODS_MS.choose(&mut rng).unwrap();
+                    sig(id, period, rng.gen_range(8..400))
+                })
+                .collect();
+            // Copy counts for some statics and for ids that are not.
+            let counts: Vec<(MessageId, u32)> = ids[..n + 4]
+                .iter()
+                .map(|&id| (id, rng.gen_range(0..3)))
+                .collect();
+            let dual = rng.gen_bool(0.5);
+            let mirror = rng.gen_bool(0.3);
+            let Ok(a) = StaticAllocation::build_with_channels(
+                &cfg,
+                &FrameCoding::default(),
+                &msgs,
+                if mirror { &[] } else { &counts },
+                mirror,
+                dual,
+            ) else {
+                continue;
+            };
+            built += 1;
+            // The list the old linear find walked, rebuilt from the
+            // matrix: one (message, position) per channel-A primary.
+            let mut linear: Vec<(MessageId, SlotPosition)> = Vec::new();
+            for slot in 1..=a.slot_count() {
+                for cycle in 0..CYCLES as u8 {
+                    let Some(occ) = a.occupant(ChannelId::A, slot, cycle) else {
+                        continue;
+                    };
+                    if occ.kind != OccupantKind::Primary
+                        || linear.iter().any(|(m, _)| *m == occ.message)
+                    {
+                        continue;
+                    }
+                    let period = msgs[usize::from(occ.index)].period;
+                    assert_eq!(msgs[usize::from(occ.index)].id, occ.message);
+                    linear.push((
+                        occ.message,
+                        SlotPosition {
+                            slot,
+                            base_cycle: cycle,
+                            repetition: StaticAllocation::repetition_for(&cfg, period),
+                            channel: ChannelId::A,
+                        },
+                    ));
+                }
+            }
+            for &id in &ids[..n + 4] {
+                let old = linear.iter().find(|(m, _)| *m == id).map(|(_, p)| *p);
+                assert_eq!(a.primary_of(id), old, "message {id}");
+                assert_eq!(a.index_of(id), msgs.iter().position(|m| m.id == id));
+            }
+        }
+        assert!(built > 100, "only {built} of 200 sets fit");
     }
 
     #[test]

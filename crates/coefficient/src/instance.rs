@@ -58,18 +58,9 @@ impl InstanceStatus {
 #[derive(Debug, Default)]
 pub struct InstanceTracker {
     instances: Vec<InstanceStatus>,
-    /// Recent instances per message, oldest first (bounded). Several may
-    /// have open generation windows at once when the production batch runs
-    /// ahead of the bus cycle, so transmission lookup needs history, not
-    /// just the newest.
-    history: std::collections::HashMap<MessageId, std::collections::VecDeque<InstanceId>>,
     /// Running count of instances delivered within their deadline.
     delivered_in_time: u64,
 }
-
-/// How many recent instances per message the tracker keeps addressable
-/// (older ones remain in the record but can no longer be transmitted).
-const HISTORY_DEPTH: usize = 64;
 
 impl InstanceTracker {
     /// Empty tracker.
@@ -83,8 +74,7 @@ impl InstanceTracker {
         self.instances.reserve(instances);
     }
 
-    /// Registers a newly produced instance and makes it the message's
-    /// current one.
+    /// Registers a newly produced instance.
     pub fn produce(
         &mut self,
         message: MessageId,
@@ -103,33 +93,7 @@ impl InstanceTracker {
             corrupted: 0,
             early_copies: 0,
         });
-        // Full-depth capacity up front: the ring never reallocates as it
-        // fills towards its bound.
-        let h = self
-            .history
-            .entry(message)
-            .or_insert_with(|| std::collections::VecDeque::with_capacity(HISTORY_DEPTH + 1));
-        h.push_back(id);
-        if h.len() > HISTORY_DEPTH {
-            h.pop_front();
-        }
         id
-    }
-
-    /// The current (newest) instance of `message`, if one was produced.
-    pub fn current_of(&self, message: MessageId) -> Option<InstanceId> {
-        self.history.get(&message).and_then(|h| h.back()).copied()
-    }
-
-    /// The newest instance of `message` produced at or before `t` — the
-    /// only one whose generation window can contain `t` (instances of one
-    /// message release in order, one period apart).
-    pub fn newest_at_or_before(&self, message: MessageId, t: SimTime) -> Option<InstanceId> {
-        let h = self.history.get(&message)?;
-        h.iter()
-            .rev()
-            .copied()
-            .find(|&id| self.instances[id].produced_at <= t)
     }
 
     /// Immutable access to an instance.
@@ -240,7 +204,7 @@ mod tests {
     fn produce_and_deliver() {
         let mut tr = InstanceTracker::new();
         let a = tr.produce(1, MessageClass::Static, t(0), t(8));
-        assert_eq!(tr.current_of(1), Some(a));
+        assert_eq!(tr.get(a).message, 1);
         tr.record_transmission(a, t(2), false);
         assert!(tr.get(a).is_delivered());
         assert_eq!(tr.get(a).latency(), Some(SimDuration::from_millis(2)));
@@ -265,12 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn new_instance_becomes_current() {
+    fn each_production_is_a_new_instance() {
         let mut tr = InstanceTracker::new();
         let a = tr.produce(1, MessageClass::Static, t(0), t(8));
         let b = tr.produce(1, MessageClass::Static, t(8), t(16));
         assert_ne!(a, b);
-        assert_eq!(tr.current_of(1), Some(b));
+        assert_eq!(tr.get(b).produced_at, t(8));
         assert_eq!(tr.produced(), 2);
     }
 

@@ -21,7 +21,7 @@
 //! or failover), and `matchup` dedicates degraded-mode slack to a hard
 //! recovery schedule until the health monitor reports nominal again.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 
 #[cfg(test)]
 use event_sim::SimDuration;
@@ -37,7 +37,9 @@ use reliability::monitor::HealthState;
 use reliability::{MessageReliability, RetransmissionPlanner};
 use workloads::{AperiodicMessage, Criticality};
 
-use crate::assignment::{AllocationError, OccupantKind, SlotPosition, StaticAllocation};
+use crate::assignment::{
+    index_in, index_table, AllocationError, OccupantKind, SlotPosition, StaticAllocation,
+};
 use crate::candidates::{Candidate, CandidateIndex, MAX_RECOVERY_BUDGET};
 use crate::instance::{InstanceId, InstanceTracker, MessageClass};
 use crate::registry::{PolicyBehavior, PolicyRef};
@@ -75,6 +77,10 @@ impl Default for CoefficientOptions {
 /// fresh data (and count as lost if they were never delivered).
 const FSPEC_QUEUE_DEPTH: usize = 3;
 
+/// How many recent instances per static message stay addressable for
+/// transmission (older ones remain in the tracker's record).
+const HISTORY_DEPTH: usize = 64;
+
 /// Namespace offset separating dynamic-message tracker ids from static
 /// signal ids (a dynamic frame id `f` is tracked as `DYN_NS + f`).
 const DYN_NS: u32 = 0x0001_0000;
@@ -92,9 +98,38 @@ struct StaticInfo {
     /// CoEfficient: copies per instance that found no static slack and go
     /// through the dynamic segment. FSPEC: its uniform best-effort count.
     dynamic_copies: u32,
-    /// The message's primary slot pattern, precomputed at construction so
-    /// each release does not pay the allocation's linear primary lookup.
-    primary: Option<SlotPosition>,
+    /// The message's primary slot pattern.
+    primary: SlotPosition,
+    /// The newest instances, oldest first (at most [`HISTORY_DEPTH`]).
+    /// Several may have open generation windows at once when the
+    /// production batch runs ahead of the bus cycle, so transmission
+    /// lookup needs history, not just the newest.
+    history: VecDeque<InstanceId>,
+    /// FSPEC: the FIFO of instances awaiting their transmissions through
+    /// the message's *own* slot pattern, with the transmissions each still
+    /// owes. Because FSPEC schedules the segments separately,
+    /// retransmission copies can only ride the pre-defined schedule —
+    /// fresh instances queue behind the copies of older ones, which is
+    /// exactly the serialization the paper blames for FSPEC's running
+    /// time and latency.
+    fspec_queue: VecDeque<(InstanceId, u32)>,
+}
+
+impl StaticInfo {
+    /// The instance whose generation window contains `t`: the newest one
+    /// produced at or before `t` (instances of one message release in
+    /// order, one period apart), if its window is still open. Stale
+    /// instances are not retransmitted — this is what drains the static
+    /// side once production stops.
+    fn open_instance(&self, tracker: &InstanceTracker, t: SimTime) -> Option<InstanceId> {
+        let id = self
+            .history
+            .iter()
+            .rev()
+            .copied()
+            .find(|&id| tracker.get(id).produced_at <= t)?;
+        (t < tracker.get(id).produced_at + self.signal.period).then_some(id)
+    }
 }
 
 /// Which free-slot search is asking (see [`Scheduler::pick`]).
@@ -150,10 +185,10 @@ pub struct Scheduler {
     options: CoefficientOptions,
     config: ClusterConfig,
     alloc: StaticAllocation,
-    /// Ordered so iteration (the reference scan) is deterministic: ties
-    /// on deadline resolve to the lowest message id, not HashMap bucket
-    /// order.
-    statics: BTreeMap<MessageId, StaticInfo>,
+    /// Static messages in input order: [`crate::assignment::Occupant::index`]
+    /// and the runner's releases address them by position, and
+    /// [`StaticAllocation::index_of`] maps an id to it.
+    statics: Vec<StaticInfo>,
     /// Released static instances the free-slot searches may pick, for
     /// the policies that search (`None` for separate-segment schemes).
     candidates: Option<CandidateIndex>,
@@ -161,7 +196,10 @@ pub struct Scheduler {
     /// scan instead of the index (see [`Scheduler::use_reference_scan`]).
     #[cfg(any(test, debug_assertions))]
     reference_scan: bool,
-    dynamics: HashMap<u16, DynInfo>,
+    /// Dynamic messages in input order.
+    dynamics: Vec<DynInfo>,
+    /// `(frame id, index into dynamics)`, sorted by frame id.
+    dynamic_ids: Vec<(u16, u32)>,
     tracker: InstanceTracker,
     /// Per-channel dynamic queues, sorted by (frame id, seq).
     queues: [Vec<(u64, DynPending)>; 2],
@@ -172,13 +210,6 @@ pub struct Scheduler {
     /// dropped (the selective criterion: a copy only exists where slack
     /// fits it). Reported for reliability accounting.
     dropped_copies: u64,
-    /// FSPEC: per static message, the FIFO of instances awaiting their
-    /// transmissions through the message's *own* slot pattern. Because
-    /// FSPEC schedules the segments separately, retransmission copies can
-    /// only ride the pre-defined schedule — fresh instances queue behind
-    /// the copies of older ones, which is exactly the serialization the
-    /// paper blames for FSPEC's running time and latency.
-    fspec_static_queues: HashMap<MessageId, std::collections::VecDeque<(InstanceId, u32)>>,
     /// FSPEC: channel transmissions each static instance needs
     /// (1 primary + the uniform best-effort copy count; A and B mirrors
     /// each count as one transmission).
@@ -225,6 +256,10 @@ pub enum SchedulerError {
     Allocation(AllocationError),
     /// A dynamic frame id is not above the static slot range.
     DynamicIdInStaticRange(u16),
+    /// Two static messages share an id.
+    DuplicateStaticId(MessageId),
+    /// Two dynamic messages share a frame id.
+    DuplicateDynamicId(u16),
 }
 
 impl std::fmt::Display for SchedulerError {
@@ -234,6 +269,12 @@ impl std::fmt::Display for SchedulerError {
             SchedulerError::DynamicIdInStaticRange(id) => {
                 write!(f, "dynamic frame id {id} lies inside the static slot range")
             }
+            SchedulerError::DuplicateStaticId(id) => {
+                write!(f, "static message id {id} occurs more than once")
+            }
+            SchedulerError::DuplicateDynamicId(id) => {
+                write!(f, "dynamic frame id {id} occurs more than once")
+            }
         }
     }
 }
@@ -242,7 +283,13 @@ impl std::error::Error for SchedulerError {}
 
 impl From<AllocationError> for SchedulerError {
     fn from(e: AllocationError) -> Self {
-        SchedulerError::Allocation(e)
+        match e {
+            // The allocation's id index is the scheduler's static index.
+            AllocationError::DuplicateMessage { message } => {
+                SchedulerError::DuplicateStaticId(message)
+            }
+            e => SchedulerError::Allocation(e),
+        }
     }
 }
 
@@ -252,7 +299,8 @@ impl Scheduler {
     /// lays out the static allocation.
     ///
     /// # Errors
-    /// [`SchedulerError`] on allocation failure or id-space collisions.
+    /// [`SchedulerError`] on allocation failure, id-space collisions or
+    /// repeated ids.
     pub fn new(
         policy: PolicyRef,
         config: ClusterConfig,
@@ -278,7 +326,8 @@ impl Scheduler {
     /// baselines they are pinned to the defaults).
     ///
     /// # Errors
-    /// [`SchedulerError`] on allocation failure or id-space collisions.
+    /// [`SchedulerError`] on allocation failure, id-space collisions or
+    /// repeated ids.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_options(
         policy: PolicyRef,
@@ -303,6 +352,11 @@ impl Scheduler {
                 return Err(SchedulerError::DynamicIdInStaticRange(d.frame_id));
             }
         }
+        // Every per-message table is indexed by input position, reached
+        // from an id through a sorted table, so ids must be unique. The
+        // static allocation checks the static ids.
+        let dynamic_ids = index_table(dynamic_messages.iter().map(|d| d.frame_id))
+            .map_err(SchedulerError::DuplicateDynamicId)?;
 
         // --- reliability plan ------------------------------------------------
         // p_z is computed over the on-wire frame length: that is what the
@@ -329,14 +383,19 @@ impl Scheduler {
         let planner = RetransmissionPlanner::new(rel).unit(scenario.unit);
         let goal = scenario.reliability_goal();
 
-        // Per-message copy counts come from the policy's plan.
-        let counts: Vec<(MessageId, u32)> = policy.plan_copies(&planner, goal);
+        // Per-message copy counts come from the policy's plan. FSPEC's
+        // uniform count is the plan's first entry.
+        let mut counts: Vec<(MessageId, u32)> = policy.plan_copies(&planner, goal);
+        let fspec_k = counts.first().map(|&(_, k)| k).unwrap_or(0);
+        // Stable sort: among repeated ids the plan's first entry stays
+        // first, so the lookup answers as a linear find would.
+        counts.sort_by_key(|&(m, _)| m);
         let count_of = |id: u32| -> u32 {
+            let i = counts.partition_point(|&(m, _)| m < id);
             counts
-                .iter()
-                .find(|(m, _)| *m == id)
-                .map(|&(_, k)| k)
-                .unwrap_or(0)
+                .get(i)
+                .filter(|&&(m, _)| m == id)
+                .map_or(0, |&(_, k)| k)
         };
 
         // --- static allocation -----------------------------------------------
@@ -359,42 +418,31 @@ impl Scheduler {
             )?
         };
 
-        // --- message info maps -----------------------------------------------
+        // --- message tables --------------------------------------------------
         // FSPEC pushes every static copy through the message's own slot
         // pattern (separate scheduling); its per-instance transmission
         // demand is 1 primary + the uniform copy count, while its
-        // dynamic-queue copy count for statics is zero.
-        let fspec_k = counts.first().map(|&(_, k)| k).unwrap_or(0);
+        // dynamic-queue copy count for statics is zero (mirror schemes
+        // spill nothing).
         let fspec_tx_needed = 1 + fspec_k;
 
-        let mut statics = BTreeMap::new();
-        let mut fspec_static_queues = HashMap::new();
-        for s in static_messages {
-            let wire = coding.message_wire_bits(u64::from(s.size_bits), true);
-            let spilled = if behavior.mirror_allocation {
-                0
-            } else {
-                alloc
-                    .spill()
-                    .iter()
-                    .find(|(m, _)| *m == s.id)
-                    .map(|&(_, k)| k)
-                    .unwrap_or(0)
-            };
-            statics.insert(
-                s.id,
-                StaticInfo {
-                    signal: s.clone(),
-                    payload_bytes: payload_bytes_for(u64::from(s.size_bits)) as u16,
-                    wire_bits: wire,
-                    dynamic_copies: spilled,
-                    primary: alloc.primary_of(s.id),
-                },
-            );
-            fspec_static_queues.insert(
-                s.id,
-                std::collections::VecDeque::with_capacity(FSPEC_QUEUE_DEPTH + 1),
-            );
+        let mut statics: Vec<StaticInfo> = static_messages
+            .iter()
+            .zip(alloc.primaries())
+            .map(|(s, &primary)| StaticInfo {
+                signal: s.clone(),
+                payload_bytes: payload_bytes_for(u64::from(s.size_bits)) as u16,
+                wire_bits: coding.message_wire_bits(u64::from(s.size_bits), true),
+                dynamic_copies: 0,
+                primary,
+                history: VecDeque::with_capacity(HISTORY_DEPTH),
+                fspec_queue: VecDeque::with_capacity(FSPEC_QUEUE_DEPTH + 1),
+            })
+            .collect();
+        for &(message, k) in alloc.spill() {
+            if let Some(i) = alloc.index_of(message) {
+                statics[i].dynamic_copies = k;
+            }
         }
 
         // The free-slot searches run only on cooperative positions: early
@@ -407,22 +455,19 @@ impl Scheduler {
         let candidates = (early_view || recovery_view)
             .then(|| CandidateIndex::new(static_messages.len(), early_view, recovery_view));
 
-        let mut dynamics = HashMap::new();
-        for (i, d) in dynamic_messages.iter().enumerate() {
-            // Dual-channel schemes balance first transmissions across the
-            // two channels (unless the ablation disables B).
-            let home_channel = if behavior.balance_dynamic_channels && options.dual_channel {
-                if i % 2 == 0 {
-                    ChannelId::A
-                } else {
-                    ChannelId::B
-                }
-            } else {
-                ChannelId::A
-            };
-            let payload_bytes = payload_bytes_for(u64::from(d.size_bits)) as u16;
-            dynamics.insert(
-                d.frame_id,
+        let dynamics: Vec<DynInfo> = dynamic_messages
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                // Dual-channel schemes balance first transmissions across
+                // the two channels (unless the ablation disables B).
+                let home_channel =
+                    if behavior.balance_dynamic_channels && options.dual_channel && i % 2 == 1 {
+                        ChannelId::B
+                    } else {
+                        ChannelId::A
+                    };
+                let payload_bytes = payload_bytes_for(u64::from(d.size_bits)) as u16;
                 DynInfo {
                     spec: d.clone(),
                     payload_bytes,
@@ -432,9 +477,9 @@ impl Scheduler {
                         .frame_wire_bits(u64::from(payload_bytes), false),
                     copies: count_of(dyn_key(d.frame_id)),
                     home_channel,
-                },
-            );
-        }
+                }
+            })
+            .collect();
 
         Ok(Scheduler {
             policy,
@@ -447,6 +492,7 @@ impl Scheduler {
             #[cfg(any(test, debug_assertions))]
             reference_scan: false,
             dynamics,
+            dynamic_ids,
             tracker: InstanceTracker::new(),
             // Pre-sized so the steady-state cycle loop never grows them:
             // the dynamic backlog is bounded by the purge window and the
@@ -455,7 +501,6 @@ impl Scheduler {
             next_seq: 0,
             in_flight: std::collections::VecDeque::with_capacity(8),
             dropped_copies: 0,
-            fspec_static_queues,
             fspec_tx_needed,
             copy_transmissions: 0,
             cooperative_static_serves: 0,
@@ -609,9 +654,9 @@ impl Scheduler {
             .sum();
         let in_flight = self.in_flight.capacity() * size_of::<InstanceId>();
         let fspec: usize = self
-            .fspec_static_queues
-            .values()
-            .map(|q| q.capacity() * size_of::<(InstanceId, u32)>())
+            .statics
+            .iter()
+            .map(|s| s.fspec_queue.capacity() * size_of::<(InstanceId, u32)>())
             .sum();
         (queues + in_flight + fspec) as u64
     }
@@ -622,9 +667,9 @@ impl Scheduler {
     pub fn pending_work(&self) -> usize {
         self.dynamic_backlog()
             + self
-                .fspec_static_queues
-                .values()
-                .map(std::collections::VecDeque::len)
+                .statics
+                .iter()
+                .map(|s| s.fspec_queue.len())
                 .sum::<usize>()
     }
 
@@ -637,14 +682,26 @@ impl Scheduler {
     /// # Panics
     /// Panics if `message` is not a configured static message.
     pub fn produce_static(&mut self, message: MessageId, now: SimTime) -> InstanceId {
-        let info = self.statics.get(&message).expect("unknown static message");
+        let index = self
+            .alloc
+            .index_of(message)
+            .expect("unknown static message");
+        self.produce_static_at(index, now)
+    }
+
+    /// [`produce_static`](Self::produce_static) for the static message at
+    /// position `index` of the `static_messages` the scheduler was built
+    /// from.
+    pub(crate) fn produce_static_at(&mut self, index: usize, now: SimTime) -> InstanceId {
+        let info = &mut self.statics[index];
+        let message = info.signal.id;
         let deadline = now + info.signal.deadline;
         // The candidate index's live intervals stand in for the scan's
         // "newest instance at or before the slot" only if no two windows
         // of one message overlap.
         debug_assert!(
             self.candidates.is_none()
-                || self.tracker.current_of(message).is_none_or(|prev| {
+                || info.history.back().is_none_or(|&prev| {
                     self.tracker.get(prev).produced_at + info.signal.period <= now
                 }),
             "releases of message {message} must be at least a period apart"
@@ -652,11 +709,15 @@ impl Scheduler {
         let instance = self
             .tracker
             .produce(message, MessageClass::Static, now, deadline);
+        if info.history.len() == HISTORY_DEPTH {
+            info.history.pop_front();
+        }
+        info.history.push_back(instance);
         let capacity = self.config.static_slot_capacity_bits();
         if let Some(index) = self.candidates.as_mut() {
             if info.wire_bits <= capacity {
                 let window_end = now + info.signal.period;
-                let primary = info.primary.expect("static has a primary");
+                let primary = info.primary;
                 let next_primary = next_occurrence_at_or_after(
                     &self.config,
                     primary.slot,
@@ -681,10 +742,7 @@ impl Scheduler {
             // serialized through the message's own slot pattern; the
             // CHI buffers only FSPEC_QUEUE_DEPTH instances, so a
             // congested queue overwrites its oldest staging.
-            let q = self
-                .fspec_static_queues
-                .get_mut(&message)
-                .expect("queue exists for every static message");
+            let q = &mut info.fspec_queue;
             if q.len() >= FSPEC_QUEUE_DEPTH {
                 q.pop_front();
             }
@@ -707,10 +765,16 @@ impl Scheduler {
     /// # Panics
     /// Panics if `frame_id` is not a configured dynamic message.
     pub fn produce_dynamic(&mut self, frame_id: u16, now: SimTime) -> InstanceId {
-        let info = self
-            .dynamics
-            .get(&frame_id)
-            .expect("unknown dynamic message");
+        let index = index_in(&self.dynamic_ids, frame_id).expect("unknown dynamic message");
+        self.produce_dynamic_at(index, now)
+    }
+
+    /// [`produce_dynamic`](Self::produce_dynamic) for the dynamic message
+    /// at position `index` of the `dynamic_messages` the scheduler was
+    /// built from.
+    pub(crate) fn produce_dynamic_at(&mut self, index: usize, now: SimTime) -> InstanceId {
+        let info = &self.dynamics[index];
+        let frame_id = info.spec.frame_id;
         let deadline = now + info.spec.deadline;
         let expires = deadline + info.spec.min_interarrival;
         let (copies, home, payload) = (info.copies, info.home_channel, info.payload_bytes);
@@ -808,15 +872,6 @@ impl Scheduler {
             .position(|(_, e)| e.frame_id > p.frame_id)
             .unwrap_or(q.len());
         q.insert(pos, (seq, p));
-    }
-
-    /// Whether the instance is still within its generation window at `t`
-    /// (stale instances are not retransmitted — this is what drains the
-    /// static side once production stops).
-    fn static_instance_window_open(&self, instance: InstanceId, t: SimTime) -> bool {
-        let inst = self.tracker.get(instance);
-        let period = self.statics[&inst.message].signal.period;
-        t < inst.produced_at + period
     }
 
     /// CoEfficient's cooperative use of a free static position: first a
@@ -1032,26 +1087,26 @@ impl Scheduler {
     /// The linear scan the candidate index replaced, kept as its oracle:
     /// every static message's newest instance at or before `slot_start`
     /// whose generation window is open, filtered by `search`; the lowest
-    /// `(deadline, message id)` wins.
+    /// `(deadline, message id)` wins (messages are walked in ascending id
+    /// order and only a strictly earlier deadline displaces the best).
     #[cfg(any(test, debug_assertions))]
     fn scan(&self, search: Search, slot_start: SimTime) -> Option<(MessageId, InstanceId, u16)> {
         let capacity = self.config.static_slot_capacity_bits();
         let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
-        for (id, info) in &self.statics {
+        for index in self.alloc.indices_by_id() {
+            let info = &self.statics[index];
+            let id = info.signal.id;
             if info.wire_bits > capacity {
                 continue;
             }
-            let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
+            let Some(instance) = info.open_instance(&self.tracker, slot_start) else {
                 continue;
             };
-            if !self.static_instance_window_open(instance, slot_start) {
-                continue;
-            }
             let inst = self.tracker.get(instance);
             let eligible = match search {
                 // The primary must not have had its chance yet.
                 Search::EarlyCopy => {
-                    let primary = info.primary.expect("static has a primary");
+                    let primary = info.primary;
                     inst.early_copies == 0
                         && slot_start
                             < next_occurrence_at_or_after(
@@ -1068,7 +1123,7 @@ impl Scheduler {
                 }
             };
             if eligible && best.is_none_or(|(d, ..)| inst.deadline < d) {
-                best = Some((inst.deadline, *id, instance, info.payload_bytes));
+                best = Some((inst.deadline, id, instance, info.payload_bytes));
             }
         }
         best.map(|(_, message, instance, payload_bytes)| (message, instance, payload_bytes))
@@ -1122,10 +1177,8 @@ impl TrafficSource for Scheduler {
                 // segments separately, copies can only ride these spare
                 // occurrences of the message's own slot.
                 let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
-                let q = self
-                    .fspec_static_queues
-                    .get_mut(&occ.message)
-                    .expect("queue exists for every static message");
+                let info = &mut self.statics[usize::from(occ.index)];
+                let q = &mut info.fspec_queue;
                 let idx = (0..q.len())
                     .rev()
                     .find(|&i| q[i].1 > fresh_threshold)
@@ -1149,7 +1202,6 @@ impl TrafficSource for Scheduler {
                         );
                     }
                 }
-                let info = &self.statics[&occ.message];
                 let payload = OutboundPayload {
                     message: occ.message,
                     payload_bytes: info.payload_bytes,
@@ -1160,12 +1212,10 @@ impl TrafficSource for Scheduler {
             }
             // Window path: transmit the instance whose generation window
             // contains this slot — the newest released at or before the
-            // slot (the production batch may run ahead of the bus cycle).
-            let instance = self.tracker.newest_at_or_before(occ.message, slot_start)?;
-            if !self.static_instance_window_open(instance, slot_start) {
-                return None; // window passed or production ended
-            }
-            let info = &self.statics[&occ.message];
+            // slot (the production batch may run ahead of the bus cycle);
+            // none once the window passed or production ended.
+            let info = &self.statics[usize::from(occ.index)];
+            let instance = info.open_instance(&self.tracker, slot_start)?;
             if occ.kind != OccupantKind::Primary {
                 self.copy_transmissions += 1;
                 if self.tracer.is_enabled() {
@@ -1415,7 +1465,7 @@ mod tests {
         // FSPEC's best-effort copies are serialized through the message's
         // own slots: each instance owes more than one transmission.
         assert!(s.fspec_tx_needed > 1);
-        assert_eq!(s.statics[&1].dynamic_copies, 0);
+        assert_eq!(s.statics[0].dynamic_copies, 0);
     }
 
     #[test]
@@ -1436,6 +1486,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SchedulerError::DynamicIdInStaticRange(3)));
+    }
+
+    #[test]
+    fn repeated_ids_are_refused_by_every_policy() {
+        let mut repeated_static = statics();
+        repeated_static.push(Signal::new(
+            1,
+            SimDuration::from_millis(8),
+            SimDuration::ZERO,
+            SimDuration::from_millis(8),
+            200,
+        ));
+        let mut repeated_dynamic = dynamics();
+        repeated_dynamic.push(AperiodicMessage::new(
+            20,
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(20),
+            16,
+        ));
+        for &policy in crate::registry::all() {
+            let build = |statics: &[Signal], dynamics: &[AperiodicMessage]| {
+                Scheduler::new_with_options(
+                    policy,
+                    config(),
+                    FrameCoding::default(),
+                    &Scenario::ber7(),
+                    statics,
+                    dynamics,
+                    CoefficientOptions::default(),
+                )
+            };
+            let err = build(&repeated_static, &dynamics()).unwrap_err();
+            assert!(
+                matches!(err, SchedulerError::DuplicateStaticId(1)),
+                "{policy:?}: {err}"
+            );
+            assert_eq!(err.to_string(), "static message id 1 occurs more than once");
+            let err = build(&statics(), &repeated_dynamic).unwrap_err();
+            assert!(
+                matches!(err, SchedulerError::DuplicateDynamicId(20)),
+                "{policy:?}: {err}"
+            );
+            assert_eq!(err.to_string(), "dynamic frame id 20 occurs more than once");
+            assert!(build(&statics(), &dynamics()).is_ok(), "{policy:?}");
+        }
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! [`flexray::bus::BusEngine`], produces workload instances cycle by
 //! cycle, and collects the paper's four metrics into a [`RunReport`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use event_sim::rng::substream;
@@ -468,6 +470,105 @@ impl ChaosTracker {
 /// Safety cap: no experiment in the suite needs more simulated cycles.
 const MAX_CYCLES: u64 = 5_000_000;
 
+/// A pending release: `(instant, kind, index)`, `kind` being [`STATIC`]
+/// or [`DYNAMIC`] and `index` the message's position in its class's list.
+type Release = (SimTime, u8, usize);
+
+/// [`Release`] kind of a static message; ranks before [`DYNAMIC`].
+const STATIC: u8 = 0;
+/// [`Release`] kind of a dynamic message.
+const DYNAMIC: u8 = 1;
+
+/// A run's production: the releases still to come, merged across all
+/// messages into one time order, and where production stops.
+///
+/// The merge is a min-heap holding each message's next [`Release`]. Its
+/// order is the one the two per-class `min_by_key` scans it replaced gave:
+/// the earliest instant first, a static release before a dynamic one at
+/// the same instant (the scans compared `static <= dynamic`), and the
+/// lowest index first within a class (`min_by_key` keeps the first
+/// minimum). Taking a release replaces the heap's top in place with that
+/// message's next one, so the heap never changes size and never
+/// allocates after construction.
+#[derive(Debug)]
+struct Production {
+    heap: BinaryHeap<Reverse<Release>>,
+    /// Release spacing per kind and index: static periods, dynamic
+    /// minimum interarrival times.
+    spacing: [Vec<SimDuration>; 2],
+    /// No release at or after this instant is produced.
+    horizon: Option<SimTime>,
+    /// Production stops after this many releases.
+    target: Option<u64>,
+    produced: u64,
+    /// The instant of the latest release produced.
+    last: SimTime,
+    /// Set once the horizon or the target is reached, or if there is
+    /// nothing to produce.
+    done: bool,
+}
+
+impl Production {
+    /// Production for `statics` (first release at their offsets) and
+    /// `dynamics` (first release at `phases`, index-aligned) under `stop`.
+    fn new(
+        statics: &[Signal],
+        dynamics: &[AperiodicMessage],
+        phases: &[SimDuration],
+        stop: StopCondition,
+    ) -> Self {
+        let mut heap = BinaryHeap::with_capacity(statics.len() + phases.len());
+        let firsts = statics.iter().map(|s| s.offset).enumerate();
+        heap.extend(firsts.map(|(i, o)| Reverse((SimTime::ZERO + o, STATIC, i))));
+        let firsts = phases.iter().enumerate();
+        heap.extend(firsts.map(|(i, &p)| Reverse((SimTime::ZERO + p, DYNAMIC, i))));
+        Production {
+            heap,
+            spacing: [
+                statics.iter().map(|s| s.period).collect(),
+                dynamics.iter().map(|d| d.min_interarrival).collect(),
+            ],
+            horizon: match stop {
+                StopCondition::Horizon(h) => Some(SimTime::ZERO + h),
+                StopCondition::ProducedInstances(_) | StopCondition::DeliveredInstances(_) => None,
+            },
+            target: match stop {
+                StopCondition::ProducedInstances(n) => Some(n),
+                StopCondition::Horizon(_) | StopCondition::DeliveredInstances(_) => None,
+            },
+            produced: 0,
+            last: SimTime::ZERO,
+            done: statics.is_empty() && dynamics.is_empty(),
+        }
+    }
+
+    /// Hands every release before `cycle_end` to `produce`, in order,
+    /// until production is done.
+    fn run_until(&mut self, cycle_end: SimTime, mut produce: impl FnMut(Release)) {
+        while !self.done {
+            let Some(mut top) = self.heap.peek_mut() else {
+                break;
+            };
+            let release @ (t, kind, i) = top.0;
+            if t >= cycle_end {
+                break;
+            }
+            if self.horizon.is_some_and(|h| t >= h) {
+                self.done = true;
+                break;
+            }
+            top.0 = (t + self.spacing[usize::from(kind)][i], kind, i);
+            drop(top);
+            produce(release);
+            self.produced += 1;
+            self.last = t;
+            if self.target.is_some_and(|n| self.produced >= n) {
+                self.done = true;
+            }
+        }
+    }
+}
+
 /// Drives one policy over one workload. See the crate-level example.
 #[derive(Debug)]
 pub struct Runner {
@@ -661,27 +762,12 @@ impl Runner {
     /// read-out, not a mode.
     pub fn run_with_instances(mut self) -> (RunReport, Vec<InstanceStatus>) {
         let cycle_dur = self.cfg.cluster.cycle_duration();
-        let production_target = match self.cfg.stop {
-            StopCondition::ProducedInstances(n) => Some(n),
-            StopCondition::Horizon(_) | StopCondition::DeliveredInstances(_) => None,
-        };
-        let horizon = match self.cfg.stop {
-            StopCondition::Horizon(h) => Some(SimTime::ZERO + h),
-            StopCondition::ProducedInstances(_) | StopCondition::DeliveredInstances(_) => None,
-        };
-
-        // Release cursors.
-        let mut static_next: Vec<SimTime> = self
-            .cfg
-            .static_messages
-            .iter()
-            .map(|s| SimTime::ZERO + s.offset)
-            .collect();
-        let mut dynamic_next: Vec<SimTime> = self
-            .dynamic_phases
-            .iter()
-            .map(|p| SimTime::ZERO + *p)
-            .collect();
+        let mut production = Production::new(
+            &self.cfg.static_messages,
+            &self.cfg.dynamic_messages,
+            &self.dynamic_phases,
+            self.cfg.stop,
+        );
         let max_static_period = self
             .cfg
             .static_messages
@@ -690,10 +776,6 @@ impl Runner {
             .max()
             .unwrap_or(SimDuration::ZERO);
 
-        let mut produced: u64 = 0;
-        let mut production_done =
-            self.cfg.static_messages.is_empty() && self.cfg.dynamic_messages.is_empty();
-        let mut last_production = SimTime::ZERO;
         let mut cycle: u64 = 0;
         let mut truncated = false;
 
@@ -703,61 +785,15 @@ impl Runner {
             self.scheduler.purge_expired(cycle_start);
 
             // Produce every release falling in this cycle, in time order
-            // across messages (merge by earliest release).
-            if !production_done {
-                loop {
-                    // Earliest pending release among all messages.
-                    let next_static = static_next
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| **t)
-                        .map(|(i, t)| (i, *t));
-                    let next_dynamic = dynamic_next
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| **t)
-                        .map(|(i, t)| (i, *t));
-                    let pick_static = match (next_static, next_dynamic) {
-                        (Some((_, ts)), Some((_, td))) => ts <= td,
-                        (Some(_), None) => true,
-                        (None, _) => false,
-                    };
-                    let release = if pick_static {
-                        next_static.map(|(_, t)| t)
-                    } else {
-                        next_dynamic.map(|(_, t)| t)
-                    };
-                    let Some(release) = release else { break };
-                    if release >= cycle_end {
-                        break;
-                    }
-                    if let Some(h) = horizon {
-                        if release >= h {
-                            production_done = true;
-                            break;
-                        }
-                    }
-                    if pick_static {
-                        let (i, t) = next_static.expect("static release exists");
-                        self.scheduler
-                            .produce_static(self.cfg.static_messages[i].id, t);
-                        static_next[i] = t + self.cfg.static_messages[i].period;
-                    } else {
-                        let (i, t) = next_dynamic.expect("dynamic release exists");
-                        self.scheduler
-                            .produce_dynamic(self.cfg.dynamic_messages[i].frame_id, t);
-                        dynamic_next[i] = t + self.cfg.dynamic_messages[i].min_interarrival;
-                    }
-                    produced += 1;
-                    last_production = release;
-                    if let Some(target) = production_target {
-                        if produced >= target {
-                            production_done = true;
-                            break;
-                        }
-                    }
+            // across messages.
+            let scheduler = &mut self.scheduler;
+            production.run_until(cycle_end, |(t, kind, i)| {
+                if kind == STATIC {
+                    scheduler.produce_static_at(i, t);
+                } else {
+                    scheduler.produce_dynamic_at(i, t);
                 }
-            }
+            });
 
             self.engine.run_cycle(cycle, &mut self.scheduler);
             cycle += 1;
@@ -790,8 +826,8 @@ impl Runner {
                 }
                 StopCondition::ProducedInstances(_) => {
                     let windows_closed =
-                        elapsed >= last_production.saturating_add(max_static_period);
-                    if production_done && windows_closed && self.scheduler.pending_work() == 0 {
+                        elapsed >= production.last.saturating_add(max_static_period);
+                    if production.done && windows_closed && self.scheduler.pending_work() == 0 {
                         break;
                     }
                 }
@@ -1278,5 +1314,146 @@ mod tests {
         .run();
         let r = report.miss_ratio();
         assert!((0.0..=1.0).contains(&r));
+    }
+
+    /// The two-cursor merge the release heap replaced, verbatim but for
+    /// the scheduler calls, which record the release instead, and the
+    /// cycle loop, which walks `cycle_ends`.
+    fn two_cursor_releases(
+        statics: &[Signal],
+        dynamics: &[AperiodicMessage],
+        phases: &[SimDuration],
+        stop: StopCondition,
+        cycle_ends: &[SimTime],
+    ) -> (Vec<Release>, bool, SimTime) {
+        let production_target = match stop {
+            StopCondition::ProducedInstances(n) => Some(n),
+            StopCondition::Horizon(_) | StopCondition::DeliveredInstances(_) => None,
+        };
+        let horizon = match stop {
+            StopCondition::Horizon(h) => Some(SimTime::ZERO + h),
+            StopCondition::ProducedInstances(_) | StopCondition::DeliveredInstances(_) => None,
+        };
+        let mut static_next: Vec<SimTime> =
+            statics.iter().map(|s| SimTime::ZERO + s.offset).collect();
+        let mut dynamic_next: Vec<SimTime> = phases.iter().map(|p| SimTime::ZERO + *p).collect();
+        let mut produced: u64 = 0;
+        let mut production_done = statics.is_empty() && dynamics.is_empty();
+        let mut last_production = SimTime::ZERO;
+        let mut out = Vec::new();
+        for &cycle_end in cycle_ends {
+            if !production_done {
+                loop {
+                    // Earliest pending release among all messages.
+                    let next_static = static_next
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, t)| **t)
+                        .map(|(i, t)| (i, *t));
+                    let next_dynamic = dynamic_next
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, t)| **t)
+                        .map(|(i, t)| (i, *t));
+                    let pick_static = match (next_static, next_dynamic) {
+                        (Some((_, ts)), Some((_, td))) => ts <= td,
+                        (Some(_), None) => true,
+                        (None, _) => false,
+                    };
+                    let release = if pick_static {
+                        next_static.map(|(_, t)| t)
+                    } else {
+                        next_dynamic.map(|(_, t)| t)
+                    };
+                    let Some(release) = release else { break };
+                    if release >= cycle_end {
+                        break;
+                    }
+                    if let Some(h) = horizon {
+                        if release >= h {
+                            production_done = true;
+                            break;
+                        }
+                    }
+                    if pick_static {
+                        let (i, t) = next_static.expect("static release exists");
+                        out.push((t, STATIC, i));
+                        static_next[i] = t + statics[i].period;
+                    } else {
+                        let (i, t) = next_dynamic.expect("dynamic release exists");
+                        out.push((t, DYNAMIC, i));
+                        dynamic_next[i] = t + dynamics[i].min_interarrival;
+                    }
+                    produced += 1;
+                    last_production = release;
+                    if let Some(target) = production_target {
+                        if produced >= target {
+                            production_done = true;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        (out, production_done, last_production)
+    }
+
+    #[test]
+    fn release_heap_matches_the_two_cursor_merge() {
+        // Every instant sits on a 250 µs grid, so offsets, periods and
+        // phases coincide often, within and across the two classes.
+        let grid = SimDuration::from_micros(250);
+        let mut rng = substream(5, "release-heap-oracle");
+        let (mut cross_ties, mut horizon_stops, mut target_stops) = (0, 0, 0);
+        for case in 0..400 {
+            let statics: Vec<Signal> = (0..rng.gen_range(0..10))
+                .map(|i| {
+                    let period = grid * [2, 4, 4, 8, 20][rng.gen_range(0..5)];
+                    Signal::new(i, period, grid * rng.gen_range(0..4), period, 64)
+                })
+                .collect();
+            let dynamics: Vec<AperiodicMessage> = (0..rng.gen_range(0..5))
+                .map(|i| {
+                    let gap = grid * [2, 4, 6, 8][rng.gen_range(0..4)];
+                    AperiodicMessage::new(100 + i, gap, gap, 64)
+                })
+                .collect();
+            let phases: Vec<SimDuration> = dynamics
+                .iter()
+                .map(|_| grid * rng.gen_range(0..8))
+                .collect();
+            let stop = match case % 3 {
+                0 => StopCondition::Horizon(grid * rng.gen_range(1..160)),
+                1 => StopCondition::ProducedInstances(rng.gen_range(1..300)),
+                _ => StopCondition::DeliveredInstances(1),
+            };
+            let cycle = grid * [4, 20][rng.gen_range(0..2)];
+            let cycle_ends: Vec<SimTime> = (1..=200).map(|c| SimTime::ZERO + cycle * c).collect();
+
+            let (want, want_done, want_last) =
+                two_cursor_releases(&statics, &dynamics, &phases, stop, &cycle_ends);
+            let mut production = Production::new(&statics, &dynamics, &phases, stop);
+            let mut got = Vec::new();
+            for &end in &cycle_ends {
+                production.run_until(end, |r| got.push(r));
+            }
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(production.done, want_done, "case {case}");
+            assert_eq!(production.last, want_last, "case {case}");
+            assert_eq!(production.produced, want.len() as u64, "case {case}");
+
+            cross_ties += want
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+                .count();
+            match stop {
+                StopCondition::Horizon(_) if want_done => horizon_stops += 1,
+                StopCondition::ProducedInstances(_) if want_done => target_stops += 1,
+                _ => {}
+            }
+        }
+        assert!(cross_ties > 100, "{cross_ties} static/dynamic ties");
+        assert!(horizon_stops > 50, "{horizon_stops} horizon stops");
+        assert!(target_stops > 50, "{target_stops} production-target stops");
     }
 }

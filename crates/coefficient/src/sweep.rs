@@ -256,7 +256,7 @@ impl SweepReport {
 /// configuration fails to build a schedule.
 pub fn run_parallel(
     configs: Vec<RunConfig>,
-    threads: usize,
+    threads: NonZeroUsize,
 ) -> Result<Vec<RunReport>, SchedulerError> {
     let cells = configs
         .into_iter()
@@ -271,16 +271,12 @@ pub fn run_parallel(
 /// # Errors
 /// Returns the first [`SchedulerError`] (in input order) if any
 /// configuration fails to build a schedule.
-///
-/// # Panics
-/// Panics if `threads` is zero.
 pub fn run_parallel_with_options(
     cells: Vec<(RunConfig, CoefficientOptions)>,
-    threads: usize,
+    threads: NonZeroUsize,
 ) -> Result<Vec<RunReport>, SchedulerError> {
-    assert!(threads > 0, "at least one worker thread required");
     let n = cells.len();
-    let threads = threads.min(n.max(1));
+    let threads = threads.get().min(n.max(1));
     let cells: Vec<Mutex<Option<(RunConfig, CoefficientOptions)>>> =
         cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let results: Vec<Mutex<Option<Result<RunReport, SchedulerError>>>> =
@@ -316,10 +312,8 @@ pub fn run_parallel_with_options(
 }
 
 /// Worker count used when none is requested: all available parallelism.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+pub fn default_threads() -> NonZeroUsize {
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 /// Drives a [`SweepMatrix`] to a [`SweepReport`]. See the module docs.
@@ -354,7 +348,8 @@ impl SweepRunner {
     /// The worker count [`run`](Self::run) will use.
     pub fn effective_threads(&self) -> usize {
         self.threads
-            .map_or_else(default_threads, NonZeroUsize::get)
+            .unwrap_or_else(default_threads)
+            .get()
             .min(self.matrix.cell_count().max(1))
     }
 
@@ -368,7 +363,8 @@ impl SweepRunner {
         let threads = self.effective_threads();
         let configs: Vec<RunConfig> = coords.iter().map(|&c| self.matrix.config(c)).collect();
         let started = std::time::Instant::now();
-        let reports = run_parallel(configs, threads)?;
+        // `run_parallel` caps the workers at the cell count itself.
+        let reports = run_parallel(configs, self.threads.unwrap_or_else(default_threads))?;
         let wall_clock = started.elapsed();
 
         let cells: Vec<CellOutcome> = coords
@@ -614,7 +610,7 @@ mod tests {
             .iter()
             .map(|c| Runner::new(c.clone()).unwrap().run().fingerprint())
             .collect();
-        let got: Vec<u64> = run_parallel(configs, 4)
+        let got: Vec<u64> = run_parallel(configs, NonZeroUsize::new(4).unwrap())
             .unwrap()
             .iter()
             .map(RunReport::fingerprint)

@@ -7,6 +7,8 @@
 //!   contract: the same cell traced twice, serially or across any worker
 //!   thread count, yields an identical `TraceLog`.
 
+use std::num::NonZeroUsize;
+
 use coefficient::{
     run_parallel, CellCoord, Scenario, SeedStrategy, StopCondition, SweepMatrix, SweepRunner,
     TraceConfig, TraceMode, COEFFICIENT, FSPEC,
@@ -89,8 +91,9 @@ fn event_streams_are_identical_across_replays() {
 
 #[test]
 fn event_streams_are_identical_across_thread_counts() {
-    let serial = run_parallel(traced_configs(), 1).expect("matrix is schedulable");
-    let parallel = run_parallel(traced_configs(), 8).expect("matrix is schedulable");
+    let serial = run_parallel(traced_configs(), NonZeroUsize::MIN).expect("matrix is schedulable");
+    let parallel = run_parallel(traced_configs(), NonZeroUsize::new(8).unwrap())
+        .expect("matrix is schedulable");
     assert_eq!(serial.len(), parallel.len());
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a.fingerprint(), b.fingerprint(), "cell {i}: fingerprint");
