@@ -29,7 +29,12 @@
 //!   [`MAX_RECOVERY_BUDGET`] opportunistic copies. A query walks from the
 //!   front, dropping the dead and skipping entries at or over the
 //!   caller's budget (which varies with health, so over-budget entries
-//!   are kept).
+//!   are kept). Only the degraded-mode searches query it, so it is built
+//!   on demand: releases are appended to an unsorted arrivals list, and
+//!   the first query after them sorts the arrivals and merges them in.
+//!   The candidate order is total (instance ids are unique), so the
+//!   merged vector is the one sorted insertion would have built, and a
+//!   nominal cycle never pays for the ordering.
 //!
 //! Releases wait in a per-channel FIFO until the channel's clock reaches
 //! them: production runs up to a cycle ahead of the bus.
@@ -83,6 +88,9 @@ struct ChannelView {
     early: BinaryHeap<Reverse<Candidate>>,
     /// Sorted ascending by the candidate order.
     recovery: Vec<Candidate>,
+    /// Released into the recovery view but not yet merged into
+    /// `recovery`, in release order.
+    arrivals: Vec<Candidate>,
     /// The latest instant this channel was queried or pruned at.
     clock: SimTime,
 }
@@ -104,7 +112,8 @@ impl CandidateIndex {
         let view = || ChannelView {
             pending: VecDeque::with_capacity(cap),
             early: BinaryHeap::with_capacity(if early { cap } else { 0 }),
-            recovery: Vec::with_capacity(if recovery { cap } else { 0 }),
+            recovery: Vec::new(),
+            arrivals: Vec::with_capacity(if recovery { cap } else { 0 }),
             clock: SimTime::ZERO,
         };
         CandidateIndex {
@@ -160,6 +169,7 @@ impl CandidateIndex {
     ) -> Option<Candidate> {
         debug_assert!(budget <= MAX_RECOVERY_BUDGET);
         let view = self.advance(channel, t);
+        view.merge_arrivals();
         // Compact the walked prefix in place: dead entries are dropped,
         // over-budget ones kept for a later, larger budget.
         let (mut kept, mut walked, mut found) = (0, 0, None);
@@ -188,8 +198,9 @@ impl CandidateIndex {
             let view = self.advance(channel, now);
             view.early
                 .retain(|Reverse(c)| !c.early_dead(now, tracker.get(c.instance)));
-            view.recovery
-                .retain(|c| !c.recovery_dead(now, tracker.get(c.instance)));
+            let live = |c: &Candidate| !c.recovery_dead(now, tracker.get(c.instance));
+            view.recovery.retain(live);
+            view.arrivals.retain(live);
         }
     }
 
@@ -209,10 +220,101 @@ impl CandidateIndex {
                 view.early.push(Reverse(c));
             }
             if recovery {
-                let pos = view.recovery.partition_point(|e| *e < c);
-                view.recovery.insert(pos, c);
+                view.arrivals.push(c);
             }
         }
         view
+    }
+}
+
+impl ChannelView {
+    /// Sorts the arrivals and merges them into `recovery`, back to front,
+    /// so each entry moves at most once.
+    fn merge_arrivals(&mut self) {
+        if self.arrivals.is_empty() {
+            return;
+        }
+        if self.recovery.capacity() == 0 {
+            // The first query sizes the sorted view like the arrivals
+            // list, which held every live entry until now.
+            self.recovery.reserve_exact(self.arrivals.capacity());
+        }
+        self.arrivals.sort_unstable();
+        let (mut i, mut j) = (self.recovery.len(), self.arrivals.len());
+        self.recovery.extend_from_slice(&self.arrivals);
+        while j > 0 {
+            let w = i + j - 1;
+            if i > 0 && self.recovery[i - 1] > self.arrivals[j - 1] {
+                self.recovery[w] = self.recovery[i - 1];
+                i -= 1;
+            } else {
+                self.recovery[w] = self.arrivals[j - 1];
+                j -= 1;
+            }
+        }
+        self.arrivals.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+
+    fn candidate(rng: &mut SmallRng, instance: InstanceId) -> Candidate {
+        let at = |us: u64| SimTime::from_micros(us);
+        Candidate {
+            // Narrow ranges so deadlines and messages tie often and the
+            // instance id has to break the tie.
+            deadline: at(rng.gen_range(0..20) * 250),
+            message: rng.gen_range(0..6),
+            instance,
+            payload_bytes: 8,
+            produced_at: at(0),
+            early_end: at(0),
+            recovery_end: at(0),
+        }
+    }
+
+    /// Merging a batch of arrivals builds the vector that inserting each
+    /// one in sorted position (the index's former release path) built.
+    #[test]
+    fn merged_arrivals_match_sorted_insertion() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        let mut merged_tail = 0;
+        for _ in 0..500 {
+            let mut view = ChannelView {
+                pending: VecDeque::new(),
+                early: BinaryHeap::new(),
+                recovery: Vec::new(),
+                arrivals: Vec::new(),
+                clock: SimTime::ZERO,
+            };
+            let mut inserted: Vec<Candidate> = Vec::new();
+            let mut next_instance = 0;
+            for _ in 0..rng.gen_range(1..6u32) {
+                for _ in 0..rng.gen_range(0..12u32) {
+                    let c = candidate(&mut rng, next_instance);
+                    next_instance += 1;
+                    view.arrivals.push(c);
+                    let pos = inserted.partition_point(|e| *e < c);
+                    inserted.insert(pos, c);
+                }
+                merged_tail += usize::from(
+                    view.recovery
+                        .last()
+                        .is_some_and(|last| view.arrivals.iter().any(|c| c < last)),
+                );
+                view.merge_arrivals();
+                assert!(view.arrivals.is_empty());
+                assert_eq!(view.recovery, inserted);
+            }
+        }
+        assert!(
+            merged_tail > 100,
+            "arrivals rarely landed inside the sorted prefix"
+        );
     }
 }

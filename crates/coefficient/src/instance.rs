@@ -60,6 +60,9 @@ pub struct InstanceTracker {
     instances: Vec<InstanceStatus>,
     /// Running count of instances delivered within their deadline.
     delivered_in_time: u64,
+    /// Running count of delivered instances that were corrupted at least
+    /// once.
+    faults_recovered: u64,
 }
 
 impl InstanceTracker {
@@ -104,7 +107,9 @@ impl InstanceTracker {
         &self.instances[id]
     }
 
-    /// Mutable access to an instance.
+    /// Mutable access to an instance. Delivery and corruption are
+    /// recorded through [`record_transmission`](Self::record_transmission)
+    /// only: the running counts follow them.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
@@ -119,10 +124,18 @@ impl InstanceTracker {
         inst.transmissions += 1;
         if corrupted {
             inst.corrupted += 1;
+            // A corruption after delivery (a later copy) recovers nothing
+            // new, but makes a cleanly delivered instance count.
+            if inst.corrupted == 1 && inst.is_delivered() {
+                self.faults_recovered += 1;
+            }
         } else if inst.delivered_at.is_none() {
             inst.delivered_at = Some(end);
             if end <= inst.deadline {
                 self.delivered_in_time += 1;
+            }
+            if inst.corrupted > 0 {
+                self.faults_recovered += 1;
             }
         }
     }
@@ -131,6 +144,12 @@ impl InstanceTracker {
     /// paper's notion of a *successful* transmission (§III-E).
     pub fn delivered_in_time(&self) -> u64 {
         self.delivered_in_time
+    }
+
+    /// Number of delivered instances with at least one corrupted
+    /// transmission: the run's `faults_recovered` counter.
+    pub fn faults_recovered(&self) -> u64 {
+        self.faults_recovered
     }
 
     /// Number of produced instances.
@@ -226,6 +245,41 @@ mod tests {
         tr.record_transmission(a, t(4), false);
         assert_eq!(tr.get(a).delivered_at, Some(t(3)));
         assert_eq!(tr.get(a).transmissions, 3);
+    }
+
+    /// The running `faults_recovered` count equals the filter over every
+    /// instance it replaces, after each transmission of random sequences
+    /// that corrupt copies before and after delivery.
+    #[test]
+    fn faults_recovered_count_matches_the_instance_filter() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let filter = |tr: &InstanceTracker| {
+            tr.instances()
+                .iter()
+                .filter(|i| i.corrupted > 0 && i.is_delivered())
+                .count() as u64
+        };
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut corrupted_after_delivery = 0;
+        for _ in 0..200 {
+            let mut tr = InstanceTracker::new();
+            let n = rng.gen_range(1..8usize);
+            for k in 0..n {
+                tr.produce(k as MessageId, MessageClass::Static, t(0), t(8));
+            }
+            for step in 0..rng.gen_range(0..40u64) {
+                let id = rng.gen_range(0..n);
+                let corrupted = rng.gen_bool(0.4);
+                if corrupted && tr.get(id).is_delivered() && tr.get(id).corrupted == 0 {
+                    corrupted_after_delivery += 1;
+                }
+                tr.record_transmission(id, t(step), corrupted);
+                assert_eq!(tr.faults_recovered(), filter(&tr));
+            }
+        }
+        assert!(corrupted_after_delivery > 50, "{corrupted_after_delivery}");
     }
 
     #[test]

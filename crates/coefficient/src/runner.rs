@@ -748,8 +748,9 @@ impl Runner {
     }
 
     /// Runs to completion and reports.
-    pub fn run(self) -> RunReport {
-        self.run_with_instances().0
+    pub fn run(mut self) -> RunReport {
+        let truncated = self.run_cycles();
+        self.report(truncated)
     }
 
     /// Runs to completion and reports, additionally returning the life
@@ -761,6 +762,16 @@ impl Runner {
     /// byte-identical to [`run`](Self::run)'s: the instance records are a
     /// read-out, not a mode.
     pub fn run_with_instances(mut self) -> (RunReport, Vec<InstanceStatus>) {
+        let truncated = self.run_cycles();
+        let instances = self.scheduler.tracker().instances().to_vec();
+        (self.report(truncated), instances)
+    }
+
+    /// The cycle loop behind [`run`](Self::run) and
+    /// [`run_with_instances`](Self::run_with_instances): runs until the
+    /// stop condition holds and returns whether [`MAX_CYCLES`] cut the
+    /// run short instead.
+    fn run_cycles(&mut self) -> bool {
         let cycle_dur = self.cfg.cluster.cycle_duration();
         let mut production = Production::new(
             &self.cfg.static_messages,
@@ -842,9 +853,7 @@ impl Runner {
                 break;
             }
         }
-
-        let instances = self.scheduler.tracker().instances().to_vec();
-        (self.report(truncated), instances)
+        truncated
     }
 
     /// Feeds the bus-wide monitor the merged fault counters, combines it
@@ -900,11 +909,6 @@ impl Runner {
             .engine
             .fault_counters(ChannelId::A)
             .merged(self.engine.fault_counters(ChannelId::B));
-        let faults_recovered = tracker
-            .instances()
-            .iter()
-            .filter(|i| i.corrupted > 0 && i.is_delivered())
-            .count() as u64;
         let campaign = [ChannelId::A, ChannelId::B]
             .into_iter()
             .filter_map(|ch| self.engine.campaign_counters(ch))
@@ -919,7 +923,7 @@ impl Runner {
             preemptions: sched.preemptions,
             frames_checked: faults.frames_checked,
             faults_injected: faults.faults_injected,
-            faults_recovered,
+            faults_recovered: tracker.faults_recovered(),
             health_transitions: self.health_transitions,
             storm_entries: self.storm_entries,
             service_restores: self.service_restores,

@@ -482,27 +482,55 @@ impl ClusterConfig {
     /// How long `bits` bits occupy the wire at the configured rate
     /// (rounded up to whole nanoseconds).
     pub fn transmission_duration(&self, bits: u64) -> SimDuration {
-        let ns = (bits as u128 * 1_000_000_000u128).div_ceil(self.bit_rate_bps as u128);
-        SimDuration::from_nanos(ns as u64)
+        SimDuration::from_nanos(mul_div(bits, NANOS_PER_SEC, self.bit_rate_bps, true))
     }
 
     /// The on-wire bit capacity of a static slot, after subtracting the
     /// action-point offsets at both ends.
     pub fn static_slot_capacity_bits(&self) -> u64 {
         let usable_mt = self.gd_static_slot - 2 * self.gd_action_point_offset;
-        (self.mt(usable_mt).as_nanos() as u128 * self.bit_rate_bps as u128 / 1_000_000_000u128)
-            as u64
+        bits_in(self.mt(usable_mt), self.bit_rate_bps)
     }
 
     /// The number of minislots a dynamic transmission of `bits` bits
     /// occupies (rounded up; at least one), including the dynamic slot idle
     /// phase.
     pub fn minislots_for(&self, bits: u64) -> u64 {
-        let ms_bits = (self.minislot_duration().as_nanos() as u128 * self.bit_rate_bps as u128
-            / 1_000_000_000u128) as u64;
+        let ms_bits = bits_in(self.minislot_duration(), self.bit_rate_bps);
         let needed = bits.div_ceil(ms_bits.max(1)).max(1);
         needed + self.gd_dynamic_slot_idle_phase
     }
+}
+
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// The whole bits `bit_rate_bps` puts on the wire in `span`.
+fn bits_in(span: SimDuration, bit_rate_bps: u64) -> u64 {
+    mul_div(span.as_nanos(), bit_rate_bps, NANOS_PER_SEC, false)
+}
+
+/// `a · b / d`, rounded up if `ceil` and down otherwise, truncated to
+/// `u64`. The per-frame timing calls this, so the product is formed in
+/// `u64` whenever it fits; only a product that overflows pays for the
+/// 128-bit division. Both forms give the same integer.
+#[inline]
+fn mul_div(a: u64, b: u64, d: u64, ceil: bool) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) if ceil => p.div_ceil(d),
+        Some(p) => p / d,
+        None => mul_div_wide(a, b, d, ceil),
+    }
+}
+
+/// [`mul_div`] in `u128` throughout.
+fn mul_div_wide(a: u64, b: u64, d: u64, ceil: bool) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    let q = if ceil {
+        p.div_ceil(u128::from(d))
+    } else {
+        p / u128::from(d)
+    };
+    q as u64
 }
 
 #[cfg(test)]
@@ -511,6 +539,64 @@ mod tests {
 
     fn cfg() -> ClusterConfig {
         ClusterConfig::builder().build().unwrap()
+    }
+
+    #[test]
+    fn narrow_mul_div_matches_the_wide_formula_at_the_overflow_boundary() {
+        let divisors = [1, 3, 7, 999_983, 10_000_000, 80_000_000, 1 << 40, u64::MAX];
+        for b in [NANOS_PER_SEC, 80_000_000, 10_000_000, 3] {
+            // `edge` is the largest `a` whose product with `b` fits in u64.
+            let edge = u64::MAX / b;
+            let near = [0, 1, 2, b, edge / 2, edge - 1, edge, edge + 1, u64::MAX];
+            for a in near {
+                for d in divisors {
+                    for ceil in [false, true] {
+                        assert_eq!(
+                            mul_div(a, b, d, ceil),
+                            mul_div_wide(a, b, d, ceil),
+                            "{a} * {b} / {d} (ceil {ceil})"
+                        );
+                        assert_eq!(mul_div(b, a, d, ceil), mul_div_wide(b, a, d, ceil));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_timing_matches_the_u128_formulas() {
+        let wide_duration = |c: &ClusterConfig, bits: u64| {
+            (bits as u128 * 1_000_000_000u128).div_ceil(c.bit_rate_bps as u128) as u64
+        };
+        let wide_bits = |span: SimDuration, rate: u64| {
+            (span.as_nanos() as u128 * rate as u128 / 1_000_000_000u128) as u64
+        };
+        for rate in [1, 999_983, 10_000_000, 80_000_000, u64::MAX / 1_000] {
+            let c = ClusterConfig::builder().bit_rate(rate).build().unwrap();
+            let edge = u64::MAX / NANOS_PER_SEC;
+            for bits in [
+                0,
+                1,
+                88,
+                2_628,
+                4_040,
+                1 << 34,
+                edge,
+                edge + 1,
+                u64::MAX / 2,
+            ] {
+                assert_eq!(
+                    c.transmission_duration(bits).as_nanos(),
+                    wide_duration(&c, bits),
+                    "rate {rate} bits {bits}"
+                );
+                let ms_bits = wide_bits(c.minislot_duration(), rate);
+                let needed = bits.div_ceil(ms_bits.max(1)).max(1);
+                assert_eq!(c.minislots_for(bits), needed + c.gd_dynamic_slot_idle_phase);
+            }
+            let usable = c.mt(c.gd_static_slot - 2 * c.gd_action_point_offset);
+            assert_eq!(c.static_slot_capacity_bits(), wide_bits(usable, rate));
+        }
     }
 
     #[test]

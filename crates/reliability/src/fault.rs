@@ -19,13 +19,26 @@ use event_sim::rng::substream;
 use crate::ber::Ber;
 use crate::campaign::CampaignCounters;
 
-/// Number of distinct frame sizes memoised per fault process.
+/// Slots in the frame-probability memo's table.
 ///
-/// A FlexRay run sees only a handful of wire sizes (one per payload length
-/// in the message set, plus the dynamic-segment fits), so a small
-/// direct-mapped table covers the steady state; overflow evicts round-robin
-/// rather than allocating.
-const FRAME_PROB_SLOTS: usize = 8;
+/// A run draws for one wire size per distinct payload length in its
+/// message set, static and dynamic frames coded apart. The paper's tables
+/// give a handful; the synthetic 64–1600-bit sets give about 50 in a
+/// 60-message cell. The memo keeps up to [`FRAME_PROB_MEMO_MAX`] sizes and
+/// never evicts one, so a run's working set stays resident; sizes first
+/// seen after the table is full are computed on every frame.
+const FRAME_PROB_SLOTS: usize = 128;
+const _: () = assert!(
+    FRAME_PROB_SLOTS.is_power_of_two(),
+    "the hash takes the top bits"
+);
+
+/// The most sizes the memo holds: three quarters of the table, which
+/// keeps linear probes short and guarantees a probe meets an empty slot.
+const FRAME_PROB_MEMO_MAX: usize = FRAME_PROB_SLOTS / 4 * 3;
+
+/// The memo's keys and probabilities, slot for slot.
+type FrameProbTable = (Box<[u32; FRAME_PROB_SLOTS]>, Box<[f64; FRAME_PROB_SLOTS]>);
 
 /// Exact memo of [`Ber::frame_failure_probability`] for one bit error rate.
 ///
@@ -34,13 +47,22 @@ const FRAME_PROB_SLOTS: usize = 8;
 /// probe. The cached value is produced by the *same expression* as the
 /// uncached one — `-exp_m1(bits · ln_1p(−BER))` — so results are
 /// bit-identical and golden digests are unaffected.
+///
+/// The table is open-addressed with linear probing (`bits == 0` marks an
+/// empty slot: zero-bit frames never reach it). It is allocated on the
+/// first lookup, so a process that never draws, or draws at BER 0, costs
+/// no allocation. Keys and probabilities are two allocations of at most
+/// 1 KiB rather than one of 2 KiB: glibc's per-thread cache recycles
+/// chunks this small without merging them back into the heap top, so a
+/// fleet that builds and drops a runner per vehicle does not trim the
+/// heap and fault its pages back in for the next vehicle (one 2 KiB
+/// table cost `fleet-setup` ~6 % per vehicle in minor page faults).
 #[derive(Debug, Clone)]
 struct FrameProbCache {
     rate: f64,
     ln1p_neg_rate: f64,
-    entries: [(u32, f64); FRAME_PROB_SLOTS],
+    table: Option<FrameProbTable>,
     len: usize,
-    next_evict: usize,
 }
 
 impl FrameProbCache {
@@ -48,9 +70,8 @@ impl FrameProbCache {
         FrameProbCache {
             rate: ber.rate(),
             ln1p_neg_rate: f64::ln_1p(-ber.rate()),
-            entries: [(0, 0.0); FRAME_PROB_SLOTS],
+            table: None,
             len: 0,
-            next_evict: 0,
         }
     }
 
@@ -59,18 +80,31 @@ impl FrameProbCache {
         if self.rate == 0.0 || bits == 0 {
             return 0.0;
         }
-        for &(b, p) in &self.entries[..self.len] {
-            if b == bits {
-                return p;
+        let (keys, probs) = self.table.get_or_insert_with(|| {
+            (
+                Box::new([0; FRAME_PROB_SLOTS]),
+                Box::new([0.0; FRAME_PROB_SLOTS]),
+            )
+        });
+        // Fibonacci hashing spreads the arithmetic progressions wire
+        // sizes form (20 bits per payload word) over the table.
+        let mut i =
+            (bits.wrapping_mul(0x9E37_79B9) >> (32 - FRAME_PROB_SLOTS.trailing_zeros())) as usize;
+        loop {
+            let key = keys[i];
+            if key == bits {
+                return probs[i];
             }
+            if key == 0 {
+                break;
+            }
+            i = (i + 1) % FRAME_PROB_SLOTS;
         }
         let p = -f64::exp_m1(f64::from(bits) * self.ln1p_neg_rate);
-        if self.len < FRAME_PROB_SLOTS {
-            self.entries[self.len] = (bits, p);
+        if self.len < FRAME_PROB_MEMO_MAX {
+            keys[i] = bits;
+            probs[i] = p;
             self.len += 1;
-        } else {
-            self.entries[self.next_evict] = (bits, p);
-            self.next_evict = (self.next_evict + 1) % FRAME_PROB_SLOTS;
         }
         p
     }
@@ -604,14 +638,21 @@ mod tests {
 
     #[test]
     fn prob_cache_is_bit_identical_to_ber() {
+        // Static and dynamic wire sizes of every even payload length
+        // (more sizes than the memo holds), odd extremes, and zero.
+        let wire = (1..=127u32).flat_map(|words| [88 + 20 * words, 90 + 20 * words]);
+        let sizes: Vec<u32> = [0u32, 1, 7, 42, 65_535, 123_456, u32::MAX]
+            .into_iter()
+            .chain(wire)
+            .collect();
+        assert!(sizes.len() > FRAME_PROB_SLOTS);
         for rate in [1e-7, 1e-5, 1e-3, 0.3] {
             let ber = Ber::new(rate).unwrap();
             let mut cache = FrameProbCache::new(ber);
-            // More distinct sizes than cache slots, visited twice, so both
-            // the fill path and the round-robin eviction path are compared
-            // against the uncached expression.
-            for _ in 0..2 {
-                for bits in [0u32, 1, 7, 42, 100, 254, 1000, 2040, 4096, 65_535, 123_456] {
+            // Visited three times: the fill pass, then hits for the held
+            // sizes and recomputation for the rest.
+            for _ in 0..3 {
+                for &bits in &sizes {
                     let want = ber.frame_failure_probability(bits);
                     let got = cache.probability(bits);
                     assert_eq!(
@@ -621,6 +662,28 @@ mod tests {
                     );
                 }
             }
+            assert_eq!(cache.len, FRAME_PROB_MEMO_MAX, "the memo fills and stops");
+        }
+        let mut quiet = FrameProbCache::new(Ber::ZERO);
+        assert_eq!(quiet.probability(1000), 0.0);
+        assert!(quiet.table.is_none(), "BER 0 never allocates the table");
+    }
+
+    #[test]
+    fn prob_cache_holds_a_synthetic_working_set() {
+        // The 50 sizes of a synthetic cell all stay resident after one
+        // pass (no eviction, so cycling through them never thrashes).
+        let ber = Ber::new(1e-5).unwrap();
+        let mut cache = FrameProbCache::new(ber);
+        let sizes: Vec<u32> = (4..=103u32).step_by(2).map(|w| 88 + 20 * w).collect();
+        assert_eq!(sizes.len(), 50);
+        for _ in 0..3 {
+            for &bits in &sizes {
+                let _ = cache.probability(bits);
+            }
+            assert_eq!(cache.len, sizes.len());
+            let (keys, _) = cache.table.as_ref().unwrap();
+            assert!(sizes.iter().all(|bits| keys.contains(bits)));
         }
     }
 

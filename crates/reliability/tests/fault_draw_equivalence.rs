@@ -7,14 +7,19 @@
 //! * **exact** — for the pinned golden master seed (and neighbours), the
 //!   batched draw must reproduce the per-frame hit sequence bit for bit,
 //!   fingerprint included, under arbitrary batch splits (proptest);
+//! * **memo-exact** — over more distinct frame sizes than any fixed-size
+//!   memo slot count, both processes reproduce a reference that evaluates
+//!   `1 − (1 − BER)^bits` afresh on every frame over the same RNG stream;
 //! * **in distribution** — the opt-in geometric skip-sampler
 //!   [`BernoulliFaults::corrupts_run_geometric`] is *not*
 //!   stream-compatible, so it is instead checked against the analytic
 //!   per-frame fault probability: sample mean and variance of per-segment
 //!   hit counts must sit inside tight bands around the binomial values.
 
-use event_sim::rng::Digest;
+use event_sim::rng::{substream, Digest};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::Rng;
 use reliability::fault::{BernoulliFaults, FaultProcess, GilbertElliott, SegmentHits};
 use reliability::Ber;
 
@@ -104,6 +109,122 @@ fn batched_gilbert_elliott_matches_per_frame_stream() {
         assert_eq!(a, b, "seed {seed}: hit sequences diverge");
         assert_eq!(loose.counters(), batched.counters());
         assert_eq!(loose.is_in_bad_state(), batched.is_in_bad_state());
+    }
+}
+
+/// Static and dynamic wire sizes of 32 payload lengths, 64 distinct
+/// sizes in all (a synthetic cell mixes about 50), in a scrambled order.
+fn mixed_sizes() -> Vec<u32> {
+    let mut sizes: Vec<u32> = (0..32u32)
+        .flat_map(|i| {
+            let words = 1 + (i * 37) % 100;
+            [88 + 20 * words, 90 + 20 * words]
+        })
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    assert!(sizes.len() >= 48);
+    sizes.rotate_left(11);
+    sizes
+}
+
+/// The frame sizes of `frames` draws cycling through `sizes`, with every
+/// seventh draw a batch of up to 9 equal frames.
+fn size_schedule(sizes: &[u32], frames: usize) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    let mut drawn = 0;
+    for (k, &bits) in sizes.iter().cycle().enumerate() {
+        if drawn >= frames {
+            break;
+        }
+        let n = if k % 7 == 0 {
+            1 + (k as u32 / 7) % 9
+        } else {
+            1
+        };
+        out.push((bits, n));
+        drawn += n as usize;
+    }
+    out
+}
+
+/// A Bernoulli draw that evaluates the probability on every frame.
+fn reference_bernoulli(ber: Ber, rng: &mut SmallRng, bits: u32) -> bool {
+    let p = ber.frame_failure_probability(bits);
+    p > 0.0 && rng.gen::<f64>() < p
+}
+
+#[test]
+fn memoised_bernoulli_matches_the_per_frame_formula_over_many_sizes() {
+    let sizes = mixed_sizes();
+    for rate in [1e-5, 3e-4] {
+        let ber = Ber::new(rate).unwrap();
+        for seed in [GOLDEN_SEED, GOLDEN_SEED ^ 0xA] {
+            let mut process = BernoulliFaults::new(ber, seed);
+            let mut rng = substream(seed, "fault/bernoulli");
+            let (mut frames, mut hits) = (0u64, 0u64);
+            for (round, (bits, n)) in size_schedule(&sizes, 20_000).into_iter().enumerate() {
+                let got = if n == 1 {
+                    u64::from(process.corrupts(bits))
+                } else {
+                    process.corrupts_run(bits, n).mask
+                };
+                let want = (0..n).fold(0u64, |m, i| {
+                    m | u64::from(reference_bernoulli(ber, &mut rng, bits)) << i
+                });
+                assert_eq!(
+                    got, want,
+                    "rate {rate} seed {seed} draw {round} ({bits} bits)"
+                );
+                frames += u64::from(n);
+                hits += u64::from(want.count_ones());
+            }
+            assert_eq!(process.counters().frames_checked, frames);
+            assert_eq!(process.counters().faults_injected, hits);
+            assert!(
+                hits > 0,
+                "rate {rate} seed {seed}: no hits — the check is vacuous"
+            );
+        }
+    }
+}
+
+#[test]
+fn memoised_gilbert_elliott_matches_the_per_frame_formula_over_many_sizes() {
+    let sizes = mixed_sizes();
+    let (good, bad) = (Ber::new(1e-6).unwrap(), Ber::new(1e-3).unwrap());
+    let (p_gb, p_bg) = (0.02, 0.1);
+    for seed in [GOLDEN_SEED, GOLDEN_SEED ^ 0xB] {
+        let mut process = GilbertElliott::new(good, bad, p_gb, p_bg, seed);
+        let mut rng = substream(seed, "fault/gilbert-elliott");
+        let mut in_bad = false;
+        let (mut frames, mut hits, mut bad_frames) = (0u64, 0u64, 0u64);
+        for (round, (bits, n)) in size_schedule(&sizes, 20_000).into_iter().enumerate() {
+            let got = if n == 1 {
+                u64::from(process.corrupts(bits))
+            } else {
+                process.corrupts_run(bits, n).mask
+            };
+            let mut want = 0u64;
+            for i in 0..n {
+                let p = if in_bad { bad } else { good }.frame_failure_probability(bits);
+                want |= u64::from(p > 0.0 && rng.gen::<f64>() < p) << i;
+                bad_frames += u64::from(in_bad);
+                if rng.gen::<f64>() < if in_bad { p_bg } else { p_gb } {
+                    in_bad = !in_bad;
+                }
+            }
+            assert_eq!(got, want, "seed {seed} draw {round} ({bits} bits)");
+            assert_eq!(process.is_in_bad_state(), in_bad);
+            frames += u64::from(n);
+            hits += u64::from(want.count_ones());
+        }
+        assert_eq!(process.counters().frames_checked, frames);
+        assert_eq!(process.counters().faults_injected, hits);
+        assert!(
+            hits > 0 && bad_frames > 0,
+            "seed {seed}: the check is vacuous"
+        );
     }
 }
 
