@@ -1,51 +1,34 @@
-//! Deterministic discrete-event simulation engine.
+//! Deterministic simulated time and seeded randomness.
 //!
-//! This crate is the foundation of the CoEfficient reproduction: the FlexRay
-//! bus, controllers and schedulers all run inside a [`Simulation`]. The
-//! engine is intentionally small and fully deterministic:
+//! This crate is the foundation of the CoEfficient reproduction: the
+//! FlexRay bus engine, the schedulers and the task simulator all keep
+//! time and draw random numbers through it, so every run is exactly
+//! reproducible:
 //!
 //! * time is an integer number of nanoseconds ([`SimTime`], [`SimDuration`]),
 //!   so FlexRay macroticks (1 µs) and bit times (100 ns at 10 Mbit/s) are
 //!   exact;
-//! * events scheduled for the same instant fire in the order they were
-//!   scheduled (a monotone sequence number breaks ties);
 //! * all randomness is injected through seeded RNGs built by [`rng`].
 //!
 //! # Example
 //!
 //! ```
-//! use event_sim::{Model, Context, Simulation, SimTime, SimDuration};
+//! use event_sim::{SimDuration, SimTime};
 //!
-//! struct Counter { fired: u32 }
-//! #[derive(Debug)]
-//! enum Tick { Once }
-//!
-//! impl Model for Counter {
-//!     type Event = Tick;
-//!     fn handle(&mut self, now: SimTime, _ev: Tick, ctx: &mut Context<Tick>) {
-//!         self.fired += 1;
-//!         if self.fired < 3 {
-//!             ctx.schedule_in(SimDuration::from_micros(10), Tick::Once);
-//!         }
-//!         let _ = now;
-//!     }
-//! }
-//!
-//! let mut sim = Simulation::new(Counter { fired: 0 });
-//! sim.schedule(SimTime::ZERO, Tick::Once);
-//! sim.run();
-//! assert_eq!(sim.model().fired, 3);
-//! assert_eq!(sim.now(), SimTime::from_micros(20));
+//! // One 5 ms FlexRay cycle of 1 µs macroticks.
+//! let macrotick = SimDuration::from_micros(1);
+//! let cycle = macrotick * 5000;
+//! let third_cycle = SimTime::ZERO + cycle * 2;
+//! assert_eq!(third_cycle, SimTime::from_millis(10));
+//! assert_eq!(third_cycle.duration_since(SimTime::from_micros(2500)).as_micros(), 7500);
+//! // 2268 bits at 10 Mbit/s occupy 226.8 µs.
+//! assert_eq!(SimDuration::from_nanos(100) * 2268, SimDuration::from_nanos(226_800));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod engine;
-mod queue;
 pub mod rng;
 mod time;
 
-pub use engine::{Context, Model, RunOutcome, Simulation};
-pub use queue::{EventQueue, QueuedEvent};
 pub use time::{SimDuration, SimTime};

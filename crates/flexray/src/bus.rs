@@ -5,12 +5,11 @@
 //! `pLatestTx` gating) in the dynamic segment, independently per channel,
 //! with BER-driven fault injection on each transmitted frame.
 //!
-//! Traffic is supplied by a [`TrafficSource`] — either a cluster of
-//! [`crate::node::Node`]s (see [`NodeCluster`]) or a scheduler-level
-//! implementation such as the CoEfficient/FSPEC runners in the
-//! `coefficient` crate. Everything the paper's metrics need (who occupied
-//! the bus when, and whether the frame was corrupted) is reported through
-//! [`TransmissionOutcome`].
+//! Traffic is supplied by a [`TrafficSource`], in practice a
+//! scheduler-level implementation such as the CoEfficient/FSPEC runners
+//! in the `coefficient` crate. Everything the paper's metrics need (who
+//! occupied the bus when, and whether the frame was corrupted) is
+//! reported through [`TransmissionOutcome`].
 
 use event_sim::{SimDuration, SimTime};
 
@@ -21,7 +20,6 @@ use reliability::monitor::{HealthState, MonitorConfig, ReliabilityMonitor};
 use crate::channel::ChannelId;
 use crate::codec::FrameCoding;
 use crate::config::ClusterConfig;
-use crate::node::Node;
 use crate::schedule::MessageId;
 
 /// A payload handed to the engine for transmission.
@@ -546,97 +544,9 @@ impl BusEngine {
     }
 }
 
-/// A cluster of [`Node`]s acting as one [`TrafficSource`]: static slots are
-/// answered by the owning node's controller, dynamic slots by polling every
-/// node (exactly one can own a frame id at a time on a channel).
-#[derive(Debug, Default)]
-pub struct NodeCluster {
-    nodes: Vec<Node>,
-}
-
-impl NodeCluster {
-    /// Creates a cluster over `nodes`.
-    pub fn new(nodes: Vec<Node>) -> Self {
-        NodeCluster { nodes }
-    }
-
-    /// The member nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// The member nodes, mutably (host-side message production).
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-}
-
-impl TrafficSource for NodeCluster {
-    fn static_frame(
-        &mut self,
-        _cycle: u64,
-        cycle_counter: u8,
-        slot: u16,
-        channel: ChannelId,
-    ) -> Option<OutboundPayload> {
-        for node in &mut self.nodes {
-            if let Some(staged) = node
-                .controller_mut()
-                .static_frame(cycle_counter, slot, channel)
-            {
-                return Some(OutboundPayload {
-                    message: staged.message,
-                    payload_bytes: staged.payload_bytes,
-                    produced_at: staged.produced_at,
-                });
-            }
-        }
-        None
-    }
-
-    fn dynamic_frame(
-        &mut self,
-        _cycle: u64,
-        channel: ChannelId,
-        slot_counter: u64,
-        max_payload_bytes: u16,
-    ) -> Option<OutboundPayload> {
-        let Ok(frame_id) = u16::try_from(slot_counter) else {
-            return None;
-        };
-        for node in &mut self.nodes {
-            // Only take the frame if it fits; otherwise it waits for the
-            // next cycle (its id will match again).
-            let fits = node
-                .controller()
-                .chi()
-                .peek_dynamic(channel)
-                .map(|r| {
-                    r.frame_id.get() == frame_id && r.staged.payload_bytes <= max_payload_bytes
-                })
-                .unwrap_or(false);
-            if !fits {
-                continue;
-            }
-            if let Some(req) = node.controller_mut().dynamic_frame(channel, frame_id) {
-                return Some(OutboundPayload {
-                    message: req.staged.message,
-                    payload_bytes: req.staged.payload_bytes,
-                    produced_at: req.staged.produced_at,
-                });
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelSet;
-    use crate::frame::FrameId;
-    use crate::node::NodeId;
-    use crate::schedule::{ScheduleEntry, ScheduleTable};
     use reliability::fault::BernoulliFaults;
     use reliability::Ber;
 
@@ -824,40 +734,187 @@ mod tests {
         assert_eq!(engine.elapsed(), SimTime::from_millis(2));
     }
 
-    #[test]
-    fn node_cluster_serves_static_and_dynamic() {
-        let me = NodeId::new(0);
-        let table = ScheduleTable::new(
-            4,
-            vec![ScheduleEntry {
-                slot: 1,
-                base_cycle: 0,
-                repetition: 1,
-                node: me,
-                channels: ChannelSet::AOnly,
-                message: 11,
-            }],
-        )
-        .unwrap();
-        let mut node = Node::new(me, table);
-        node.produce_static(1, 11, 4, SimTime::ZERO);
-        node.produce_dynamic(ChannelId::A, FrameId::new(6), 99, 4, SimTime::ZERO);
-        let mut cluster = NodeCluster::new(vec![node]);
-        let mut engine = BusEngine::new(config());
-        engine.record_outcomes(true);
-        engine.run_cycle(0, &mut cluster);
-        let msgs: Vec<MessageId> = engine.outcomes().iter().map(|o| o.message).collect();
-        assert_eq!(msgs, vec![11, 99]);
-        match engine.outcomes()[1].location {
+    fn dynamic_placement(out: &TransmissionOutcome) -> (u64, u64) {
+        match out.location {
             SlotLocation::Dynamic {
                 slot_counter,
                 minislot,
-            } => {
-                assert_eq!(slot_counter, 6);
-                assert_eq!(minislot, 1);
-            }
-            _ => panic!("expected dynamic"),
+            } => (slot_counter, minislot),
+            other => panic!("expected a dynamic location, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn static_and_dynamic_frames_share_one_cycle() {
+        let mut engine = BusEngine::new(config());
+        engine.record_outcomes(true);
+        let mut src = Script::default();
+        src.static_payloads
+            .push((0, 1, ChannelId::A, payload(11, 4)));
+        src.dynamic_payloads
+            .push((0, ChannelId::A, 6, payload(99, 4)));
+        engine.run_cycle(0, &mut src);
+        let msgs: Vec<MessageId> = engine.outcomes().iter().map(|o| o.message).collect();
+        assert_eq!(msgs, vec![11, 99]);
+        let dynamic = &engine.outcomes()[1];
+        // Counter 5 passed as empty minislot 0; counter 6 starts at 1.
+        assert_eq!(dynamic_placement(dynamic), (6, 1));
+        assert_eq!(
+            dynamic.start,
+            engine.config().cycle_start(0) + engine.config().minislot_offset(1)
+        );
+        assert_eq!(src.outcomes, engine.outcomes(), "source sees every outcome");
+    }
+
+    #[test]
+    fn dynamic_arbitration_serves_lower_frame_ids_first() {
+        let mut engine = BusEngine::new(config());
+        engine.record_outcomes(true);
+        let mut src = Script::default();
+        // Queued out of id order: the minislot counter alone decides.
+        for (frame_id, message) in [(9, 200), (12, 202), (6, 201)] {
+            src.dynamic_payloads
+                .push((0, ChannelId::A, frame_id, payload(message, 4)));
+        }
+        engine.run_cycle(0, &mut src);
+        let order: Vec<MessageId> = engine.outcomes().iter().map(|o| o.message).collect();
+        assert_eq!(order, vec![201, 200, 202], "lower frame id transmits first");
+        // 4-byte payload → (5+4+3)*10 + 5+1+2+2 = 130 bits → 7 minislots
+        // of 20 bits + 1 idle phase = 8. Id 6 starts at minislot 1 and
+        // ends at 9 (counter 7); ids 7 and 8 pass empty, so id 9 starts at
+        // 11 and id 12 at 21.
+        let placements: Vec<(u64, u64)> = engine.outcomes().iter().map(dynamic_placement).collect();
+        assert_eq!(placements, vec![(6, 1), (9, 11), (12, 21)]);
+        assert_eq!(engine.stats(ChannelId::A).idle_minislots, 100 - 3 * 8);
+    }
+
+    #[test]
+    fn corrupted_frames_are_flagged_but_still_occupy_the_bus() {
+        // BER 0.1: a frame of 100+ bits is corrupted with near certainty.
+        let ber = Ber::new(0.1).unwrap();
+        let cfg = config();
+        let mut engine = BusEngine::new(cfg.clone()).with_faults(
+            Box::new(BernoulliFaults::new(ber, 1)),
+            Box::new(BernoulliFaults::new(ber, 2)),
+        );
+        engine.record_outcomes(true);
+        let mut src = Script::default();
+        for ch in ChannelId::BOTH {
+            src.static_payloads.push((0, 1, ch, payload(100, 8)));
+        }
+        src.dynamic_payloads
+            .push((0, ChannelId::A, 6, payload(101, 4)));
+        src.dynamic_payloads
+            .push((0, ChannelId::A, 7, payload(102, 4)));
+        engine.run_cycle(0, &mut src);
+        let outs = engine.outcomes();
+        assert_eq!(outs.len(), 4, "A and B static copies plus two dynamic");
+        assert!(outs.iter().all(|o| o.corrupted));
+        // The corrupted frame at id 6 still holds minislots 1..9, so id 7
+        // cannot start before minislot 9.
+        let dynamic: Vec<(u64, u64)> = outs
+            .iter()
+            .filter(|o| matches!(o.location, SlotLocation::Dynamic { .. }))
+            .map(dynamic_placement)
+            .collect();
+        assert_eq!(dynamic, vec![(6, 1), (7, 9)]);
+        let a = engine.stats(ChannelId::A);
+        assert_eq!((a.frames, a.corrupted), (3, 3));
+        let busy: SimDuration = outs
+            .iter()
+            .filter(|o| o.channel == ChannelId::A)
+            .map(|o| o.duration)
+            .fold(SimDuration::ZERO, |acc, d| acc + d);
+        assert_eq!(a.busy, busy);
+        assert_eq!(
+            a.occupied,
+            cfg.static_slot_duration() + cfg.minislot_duration() * 16
+        );
+        let b = engine.stats(ChannelId::B);
+        assert_eq!((b.frames, b.corrupted), (1, 1));
+        assert_eq!(b.occupied, cfg.static_slot_duration());
+    }
+
+    #[test]
+    fn engine_statistics_are_internally_consistent() {
+        let cfg = config();
+        let ber = Ber::new(1e-3).unwrap();
+        let mut engine = BusEngine::new(cfg.clone()).with_faults(
+            Box::new(BernoulliFaults::new(ber, 3)),
+            Box::new(BernoulliFaults::new(ber, 4)),
+        );
+        engine.record_outcomes(true);
+        let cycles = 8;
+        let mut src = Script::default();
+        for c in 0..cycles {
+            for slot in [1, 3] {
+                src.static_payloads
+                    .push((c, slot, ChannelId::A, payload(u32::from(slot), 8)));
+            }
+            if c % 2 == 0 {
+                src.static_payloads
+                    .push((c, 2, ChannelId::B, payload(2, 16)));
+            } else {
+                src.dynamic_payloads
+                    .push((c, ChannelId::B, 5, payload(50, 32)));
+            }
+            src.dynamic_payloads
+                .push((c, ChannelId::A, 6, payload(60, 4)));
+            src.dynamic_payloads
+                .push((c, ChannelId::A, 8, payload(80, 2 + 2 * c as u16)));
+        }
+        for c in 0..cycles {
+            engine.run_cycle(c, &mut src);
+        }
+        for ch in ChannelId::BOTH {
+            let st = engine.stats(ch);
+            let outs: Vec<&TransmissionOutcome> = engine
+                .outcomes()
+                .iter()
+                .filter(|o| o.channel == ch)
+                .collect();
+            let static_frames = outs
+                .iter()
+                .filter(|o| matches!(o.location, SlotLocation::Static { .. }))
+                .count() as u64;
+            let used_minislots: u64 = outs
+                .iter()
+                .filter(|o| matches!(o.location, SlotLocation::Dynamic { .. }))
+                .map(|o| cfg.minislots_for(o.wire_bits))
+                .sum();
+            let corrupted = outs.iter().filter(|o| o.corrupted).count() as u64;
+            // Every static slot is a frame or idle; every minislot is used
+            // by a frame or idle.
+            assert_eq!(
+                static_frames + st.idle_static_slots,
+                cycles * cfg.static_slot_count()
+            );
+            assert_eq!(
+                used_minislots + st.idle_minislots,
+                cycles * cfg.minislot_count()
+            );
+            assert_eq!(st.frames, outs.len() as u64);
+            assert_eq!(st.corrupted, corrupted);
+            let fc = engine.fault_counters(ch);
+            assert_eq!(
+                (fc.frames_checked, fc.faults_injected),
+                (st.frames, st.corrupted)
+            );
+            let busy = outs
+                .iter()
+                .fold(SimDuration::ZERO, |acc, o| acc + o.duration);
+            assert_eq!(st.busy, busy);
+            assert_eq!(
+                st.occupied,
+                cfg.static_slot_duration() * static_frames
+                    + cfg.minislot_duration() * used_minislots
+            );
+            assert!(
+                st.occupied >= st.busy,
+                "slot-granular time includes the wire time"
+            );
+        }
+        assert!(src.static_payloads.is_empty() && src.dynamic_payloads.is_empty());
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl FrameCoding {
         FrameCoding { tss_bits }
     }
 
-    /// The TSS length in bits.
-    pub fn tss_bits(&self) -> u64 {
-        self.tss_bits
-    }
-
     /// Total on-wire bits of a frame with `payload_bytes` payload bytes.
     /// `dynamic` adds the minimum DTS of dynamic-segment frames.
     pub fn frame_wire_bits(&self, payload_bytes: u64, dynamic: bool) -> u64 {
@@ -90,11 +85,6 @@ pub fn payload_bytes_for(message_bits: u64) -> u64 {
     bytes.div_ceil(2) * 2
 }
 
-/// Payload length in 2-byte words (the header's payload-length field).
-pub fn payload_words_for(message_bits: u64) -> u64 {
-    payload_bytes_for(message_bits) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +96,6 @@ mod tests {
         assert_eq!(payload_bytes_for(16), 2);
         assert_eq!(payload_bytes_for(17), 4);
         assert_eq!(payload_bytes_for(1742), 218); // largest BBW message
-        assert_eq!(payload_words_for(1742), 109);
     }
 
     #[test]
@@ -149,7 +138,6 @@ mod tests {
 
     #[test]
     fn custom_tss() {
-        assert_eq!(FrameCoding::new(3).tss_bits(), 3);
         assert_eq!(
             FrameCoding::new(15).frame_wire_bits(2, false)
                 - FrameCoding::new(3).frame_wire_bits(2, false),

@@ -494,11 +494,11 @@ impl ClusterConfig {
 
     /// The number of minislots a dynamic transmission of `bits` bits
     /// occupies (rounded up; at least one), including the dynamic slot idle
-    /// phase.
+    /// phase. Saturates at `u64::MAX`, so an oversize frame never fits.
     pub fn minislots_for(&self, bits: u64) -> u64 {
         let ms_bits = bits_in(self.minislot_duration(), self.bit_rate_bps);
         let needed = bits.div_ceil(ms_bits.max(1)).max(1);
-        needed + self.gd_dynamic_slot_idle_phase
+        needed.saturating_add(self.gd_dynamic_slot_idle_phase)
     }
 }
 
@@ -712,6 +712,23 @@ mod tests {
         // Minislot = 2 MT = 20 bits; 50 bits → 3 minislots + 1 idle phase.
         assert_eq!(c.minislots_for(50), 4);
         assert_eq!(c.minislots_for(1), 2);
+    }
+
+    #[test]
+    fn oversize_frames_never_fit_the_dynamic_segment() {
+        // At 1 bit/s a minislot carries no whole bit, so the frame needs
+        // `bits` minislots and the idle phase on top would overflow.
+        for rate in [1, 10_000_000, 80_000_000] {
+            let c = ClusterConfig::builder().bit_rate(rate).build().unwrap();
+            let used = c.minislots_for(u64::MAX);
+            assert!(
+                used >= c.minislot_count(),
+                "rate {rate}: {used} minislots would fit {}",
+                c.minislot_count()
+            );
+        }
+        let slow = ClusterConfig::builder().bit_rate(1).build().unwrap();
+        assert_eq!(slow.minislots_for(u64::MAX), u64::MAX);
     }
 
     #[test]

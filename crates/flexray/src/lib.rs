@@ -1,33 +1,29 @@
-//! A from-scratch FlexRay 2.1 protocol substrate.
+//! The FlexRay bus timing model the CoEfficient evaluation runs on.
 //!
-//! The CoEfficient paper evaluates its scheduler on a 10-node FlexRay
-//! testbed; this crate is the simulated equivalent, faithful at the level
-//! the evaluation observes: cycle/slot/minislot timing, dual channels,
-//! frame formats and CRCs, TDMA arbitration in the static segment, FTDMA
-//! (minislot) arbitration in the dynamic segment, controller/host
-//! interfaces, and BER-driven transient fault injection.
+//! The paper evaluates its scheduler on a 10-node FlexRay testbed; this
+//! crate is the simulated equivalent, faithful at the level the
+//! evaluation observes: cycle/slot/minislot timing, dual channels, the
+//! on-wire length of coded frames, TDMA arbitration in the static
+//! segment, FTDMA (minislot) arbitration in the dynamic segment, and
+//! BER-driven transient fault injection. Running time, utilization,
+//! latency and miss ratio depend only on when frames occupy the bus, so
+//! the controller-side protocol machinery (POC, startup, clock
+//! synchronization, CRCs) is not modelled; a scheduler that needs
+//! controller buffering models it itself (FSPEC's CHI depth in the
+//! `coefficient` crate).
 //!
 //! Module map:
 //!
 //! * [`config`] — cluster-wide protocol constants (`gdCycle`,
 //!   `gdStaticSlot`, `gNumberOfStaticSlots`, `gdMinislot`, `pLatestTx`, …)
 //!   with validation and derived timing;
-//! * [`frame`] + [`crc`] + [`codec`] + [`bitstream`] — frame format,
-//!   header CRC-11, frame CRC-24, the physical bit coding that determines
-//!   how long a frame occupies the wire, and bit-exact
-//!   serialization/deserialization;
-//! * [`signal`] — ECU signals and frame packing (§II-A);
-//! * [`schedule`] — the static-segment schedule table;
-//! * [`controller`] + [`chi`] + [`node`] — communication controller with
-//!   per-channel slot counters, controller–host interface buffers, ECU
-//!   nodes;
+//! * [`codec`] — the physical bit coding that determines how long a frame
+//!   occupies the wire;
+//! * [`signal`] — ECU signals (§II-A);
+//! * [`schedule`] — the [`MessageId`](schedule::MessageId) shared by the
+//!   engine and the schedulers;
 //! * [`bus`] — the cycle-level dual-channel bus engine with fault
-//!   injection and a bus-analyzer-style trace;
-//! * [`poc`] + [`startup`] — protocol operation control state machine and
-//!   cluster coldstart/integration;
-//! * [`sync`] — fault-tolerant-midpoint clock synchronization;
-//! * [`topology`] — bus/star/hybrid cluster topologies and propagation
-//!   delays.
+//!   injection, health monitoring and tracing.
 //!
 //! # Example
 //!
@@ -46,25 +42,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bitstream;
 pub mod bus;
-pub mod chi;
 pub mod codec;
 pub mod config;
-pub mod controller;
-pub mod crc;
-pub mod frame;
-pub mod node;
-pub mod poc;
 pub mod schedule;
 pub mod signal;
-pub mod startup;
-pub mod sync;
-pub mod topology;
 
 mod channel;
 mod error;
 
-pub use channel::{ChannelId, ChannelSet};
+pub use channel::ChannelId;
 pub use error::ConfigError;
-pub use frame::{Frame, FrameHeader, FrameId};
